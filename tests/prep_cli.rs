@@ -6,38 +6,20 @@
 //! counterexamples found on the reduced miter must be lifted back to the
 //! original inputs.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
+use common::Fixtures;
 use csat::core::{Solver, SolverOptions, Verdict};
-use csat::netlist::{bench, generators, optimize, Aig};
-
-fn write_bench(name: &str, aig: &Aig) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("csat-prep-cli-{}-{name}.bench", std::process::id()));
-    std::fs::write(&path, bench::write(aig)).expect("write fixture");
-    path
-}
-
-fn run_cec(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_cec"))
-        .args(args)
-        .output()
-        .expect("run cec")
-}
+use csat::netlist::{generators, optimize};
 
 #[test]
 fn cec_prep_full_fast_path_reports_equivalent_without_kernel_solve() {
+    let fx = Fixtures::new("prep-cli-eq");
     let base = generators::carry_select_adder(6, 2);
     let variant = optimize::restructure_seeded(&base, 41);
-    let left = write_bench("eq-left", &base);
-    let right = write_bench("eq-right", &variant);
-    let out = run_cec(&[
-        "--prep",
-        "full",
-        left.to_str().unwrap(),
-        right.to_str().unwrap(),
-    ]);
+    fx.bench("left.bench", &base);
+    fx.bench("right.bench", &variant);
+    let out = fx.run("cec", &["--prep", "full", "left.bench", "right.bench"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
@@ -51,8 +33,6 @@ fn cec_prep_full_fast_path_reports_equivalent_without_kernel_solve() {
         stderr.contains("no kernel solve needed"),
         "stderr: {stderr}"
     );
-    let _ = std::fs::remove_file(left);
-    let _ = std::fs::remove_file(right);
 }
 
 #[test]
@@ -60,6 +40,7 @@ fn cec_prep_full_lifts_counterexamples_to_original_inputs() {
     // The variant negates one output, so the pair differs on every
     // assignment; prep proves the miter objective constant TRUE and the
     // (lifted) distinguishing input is printed without a kernel solve.
+    let fx = Fixtures::new("prep-cli-diff");
     let base = generators::random_logic(19, 6, 30, 3);
     let mut variant = base.clone();
     let outs: Vec<(String, csat::netlist::Lit)> = variant
@@ -71,37 +52,29 @@ fn cec_prep_full_lifts_counterexamples_to_original_inputs() {
     for (k, (name, l)) in outs.into_iter().enumerate() {
         variant.set_output(name, if k == 0 { !l } else { l });
     }
-    let left = write_bench("diff-left", &base);
-    let right = write_bench("diff-right", &variant);
-    let out = run_cec(&[
-        "--prep=full",
-        left.to_str().unwrap(),
-        right.to_str().unwrap(),
-    ]);
+    fx.bench("left.bench", &base);
+    fx.bench("right.bench", &variant);
+    let out = fx.run("cec", &["--prep=full", "left.bench", "right.bench"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
     assert!(stdout.contains("DIFFERENT"), "stdout: {stdout}");
     // cec itself asserts the model distinguishes the ORIGINAL circuits
     // before printing it; reaching the "input:" line means lifting worked.
     assert!(stdout.contains("input:"), "stdout: {stdout}");
-    let _ = std::fs::remove_file(left);
-    let _ = std::fs::remove_file(right);
 }
 
 #[test]
 fn csat_prep_levels_agree_with_unpreprocessed_verdict() {
+    let fx = Fixtures::new("prep-cli-levels");
     let aig = generators::random_logic(23, 7, 40, 2);
     let expected = match Solver::new(&aig, SolverOptions::default()).solve(aig.outputs()[0].1) {
         Verdict::Sat(_) => 10,
         Verdict::Unsat => 20,
         Verdict::Unknown(_) => unreachable!("unlimited budget"),
     };
-    let file = write_bench("csat-levels", &aig);
+    fx.bench("levels.bench", &aig);
     for level in ["off", "light", "full"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_csat"))
-            .args(["--prep", level, file.to_str().unwrap()])
-            .output()
-            .expect("run csat");
+        let out = fx.run("csat", &["--prep", level, "levels.bench"]);
         // On SAT the binary validates the (lifted) model against the
         // original netlist before printing, so a matching exit code also
         // certifies model reconstruction.
@@ -112,5 +85,4 @@ fn csat_prep_levels_agree_with_unpreprocessed_verdict() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let _ = std::fs::remove_file(file);
 }
