@@ -22,7 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use csat_core::{explicit, ExplicitOptions};
 use csat_netlist::tseitin;
-use csat_prep::{PrepLevel, PrepOptions, PrepPipeline};
+use csat_pipeline::Request;
+use csat_prep::PrepLevel;
 use csat_sim::{find_correlations, SimulationOptions};
 use csat_telemetry::{MetricsRecorder, NoOpObserver, Observer};
 use csat_types::{Budget, Interrupt, Verdict};
@@ -114,10 +115,10 @@ enum Spec {
     /// Cube-and-conquer on the circuit backend: probe, split on the
     /// hottest variables, conquer subcubes with work stealing.
     ParCubes { threads: usize },
-    /// The circuit solver behind a `csat_prep` pipeline: preprocess, solve
-    /// the reduced netlist (with proof logging against it), lift SAT
-    /// models through the reconstruction map and check them on the
-    /// original netlist.
+    /// The shipped solve pipeline ([`csat_pipeline::solve`]) behind a
+    /// `csat_prep` level: preprocess, solve the reduced netlist (with
+    /// proof logging against it), lift SAT models through the
+    /// reconstruction map and check them on the original netlist.
     Prep { level: PrepLevel },
 }
 
@@ -535,56 +536,29 @@ fn run_oracle_inner(
             })
         }
         Spec::Prep { level } => {
-            let pipeline = PrepPipeline::new(PrepOptions {
-                level: *level,
-                simulation: sim_options(4),
-                ..PrepOptions::default()
-            });
-            // An interrupted pipeline still returns a sound (partially
-            // reduced) netlist, so the solve below proceeds either way.
-            let result = pipeline.run_under(&instance.aig, &[instance.objective], budget, obs);
-            let mapped = result
-                .map_lit(instance.objective)
-                .expect("the objective is a preserved root");
-            use csat_netlist::Lit;
-            // Prep proved the objective constant: the verdict needs no
-            // kernel solve. Like the parallel columns, these answers carry
-            // no proof log — they are vouched for by the verdict
-            // cross-check (and, for SAT, by direct evaluation of the
-            // lifted model on the ORIGINAL netlist).
-            let (verdict, model_ok, proof_ok) = if mapped == Lit::FALSE {
-                (Verdict::Unsat, None, None)
-            } else if mapped == Lit::TRUE {
-                let model = result.lift_model(&vec![false; result.reduced.inputs().len()]);
-                let ok = csat_core::check_model(&instance.aig, &model, instance.objective);
-                (Verdict::Sat(model), Some(ok), None)
-            } else {
-                let mut solver =
-                    csat_core::Solver::new(&result.reduced, csat_core::SolverOptions::default());
-                solver.start_proof();
-                match solver.solve_observed(mapped, budget, &mut *obs) {
-                    Verdict::Sat(model) => {
-                        // Lift through the reconstruction map and check on
-                        // the original netlist — the lifting itself is
-                        // under test here, not just the solver.
-                        let lifted = result.lift_model(&model);
-                        let ok = csat_core::check_model(&instance.aig, &lifted, instance.objective);
-                        (Verdict::Sat(lifted), Some(ok), None)
-                    }
-                    Verdict::Unsat => {
-                        let proof = solver.take_proof();
-                        let ok =
-                            csat_core::proof::verify_unsat(&result.reduced, &proof, mapped).is_ok();
-                        (Verdict::Unsat, None, Some(ok))
-                    }
-                    Verdict::Unknown(reason) => (Verdict::Unknown(reason), None, None),
-                }
-            };
+            // The shipped pipeline itself: prep, the constant shortcut,
+            // the plain J-node solve with its proof checked against the
+            // reduced netlist, and the lifted model checked (by `solve`,
+            // which panics on a bad one) against the ORIGINAL netlist.
+            // Constant-objective answers carry no proof log; like the
+            // parallel columns they are vouched for by the cross-check.
+            let report = csat_pipeline::solve(
+                &Request {
+                    prep: *level,
+                    implicit: false,
+                    explicit: false,
+                    simulation: sim_options(4),
+                    check_proof: true,
+                    ..Request::new(&instance.aig, instance.objective)
+                },
+                budget,
+                obs,
+            );
             Some(OracleOutcome {
                 name: oracle.name,
-                verdict,
-                model_ok,
-                proof_ok,
+                model_ok: report.verdict.is_sat().then_some(true),
+                proof_ok: report.proof.map(|p| p.is_ok()),
+                verdict: report.verdict,
                 panicked: false,
             })
         }

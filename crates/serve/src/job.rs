@@ -23,12 +23,8 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use csat_core::{Solver, SolverOptions};
-use csat_netlist::{aiger, bench, cnf::Cnf, two_level, Aig, Lit};
-use csat_par::{
-    run_cubes, solve_aig_portfolio, CircuitCubeSolver, CubeOptions, ParMode, PortfolioOptions,
-};
-use csat_prep::{PrepLevel, PrepOptions, PrepPipeline};
+use csat_netlist::{Aig, Lit};
+use csat_pipeline::{load, solve, Format, Request};
 use csat_telemetry::{MetricsRecorder, Observer, SolverEvent};
 use csat_types::{Budget, CancelToken, Interrupt, Verdict};
 
@@ -60,58 +56,23 @@ pub fn load_instance(req: &SolveRequest) -> Result<LoadedInstance, String> {
         JobSource::Path(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-            let lower = path.to_lowercase();
-            let format = if lower.ends_with(".bench") {
-                "bench"
-            } else if lower.ends_with(".aag") || lower.ends_with(".aig") {
-                "aiger"
-            } else if lower.ends_with(".cnf") || lower.ends_with(".dimacs") {
-                "dimacs"
-            } else {
-                return Err(format!(
-                    "'{path}': unrecognized extension (use .bench, .aag or .cnf)"
-                ));
-            };
+            let format = Format::from_path(path).ok_or_else(|| {
+                format!("'{path}': unrecognized extension (use .bench, .aag or .cnf)")
+            })?;
             (text, format)
         }
-        JobSource::Inline { format, text } => (text.clone(), format.as_str()),
-    };
-    let fp = fingerprint(text.as_bytes());
-    let (aig, default_objective) = match format {
-        "bench" => {
-            let aig = bench::parse(&text).map_err(|e| format!("bench parse: {e}"))?;
-            let obj = first_output(&aig)?;
-            (aig, obj)
-        }
-        "aiger" => {
-            let aig = aiger::parse(&text).map_err(|e| format!("aiger parse: {e}"))?;
-            let obj = first_output(&aig)?;
-            (aig, obj)
-        }
-        _ => {
-            let cnf = Cnf::from_dimacs(&text).map_err(|e| format!("dimacs parse: {e}"))?;
-            let tl = two_level::from_cnf(&cnf);
-            (tl.aig, tl.objective)
+        JobSource::Inline { format, text } => {
+            let format =
+                Format::from_name(format).ok_or_else(|| format!("unknown format '{format}'"))?;
+            (text.clone(), format)
         }
     };
-    let objective = match &req.output {
-        Some(name) => aig
-            .output(name)
-            .ok_or_else(|| format!("no output named '{name}'"))?,
-        None => default_objective,
-    };
+    let (aig, objective) = load(format, &text, req.output.as_deref(), req.negate)?;
     Ok(LoadedInstance {
         aig,
-        objective: objective.xor_complement(req.negate),
-        fingerprint: fp,
+        objective,
+        fingerprint: fingerprint(text.as_bytes()),
     })
-}
-
-fn first_output(aig: &Aig) -> Result<Lit, String> {
-    aig.outputs()
-        .first()
-        .map(|&(_, l)| l)
-        .ok_or_else(|| "circuit has no outputs".to_string())
 }
 
 /// Observer wrapped around every solver call a job makes: aggregates
@@ -263,15 +224,6 @@ pub fn execute(
         Some(v) => JobStatus::from_verdict(v),
         None => JobStatus::Panicked,
     };
-    // Models are spot-checked before they leave the process: a daemon
-    // must not propagate a bad model to a client that trusts it.
-    if let JobStatus::Sat(model) = &status {
-        debug_assert!(csat_core::check_model(
-            &instance.aig,
-            model,
-            instance.objective
-        ));
-    }
     ExecOutcome {
         conflicts: metrics.conflicts,
         decisions: metrics.decisions,
@@ -312,88 +264,38 @@ fn attempt(
 /// The actual solve, shared by the daemon and by tests that need a serial
 /// reference answer for the same request (identical options ⇒ identical
 /// verdict, which is what the chaos suite asserts).
+///
+/// A served job runs the pipeline's plain circuit flow: prep when asked,
+/// then the J-node search with no correlation step. An interrupt during
+/// prep (client cancel, watchdog, timeout, memory) ends the job with that
+/// reason, and a SAT model is checked against the job's netlist before it
+/// leaves the fault domain.
 pub fn solve_once(
     req: &SolveRequest,
     instance: &LoadedInstance,
     budget: &Budget,
     obs: &mut JobObserver,
 ) -> Verdict {
-    let options = SolverOptions::builder()
-        .jnode_decisions(true)
-        .implicit_learning(false)
-        .build();
-    // Preprocessing runs under the job's own budget, so a client cancel,
-    // the watchdog, a timeout or memory pressure aborts mid-sweep cleanly
-    // (the pipeline stops between candidates and reports the interrupt).
-    let prepped = if req.prep != PrepLevel::Off {
-        let pipeline = PrepPipeline::new(PrepOptions {
-            level: req.prep,
-            ..PrepOptions::default()
-        });
-        let result = pipeline.run_under(&instance.aig, &[instance.objective], budget, obs);
-        if let Some(reason) = result.stats.interrupted {
-            return Verdict::Unknown(reason);
-        }
-        Some(result)
-    } else {
-        None
+    let request = Request {
+        prep: req.prep,
+        implicit: false,
+        explicit: false,
+        threads: req.threads,
+        par_mode: req.mode,
+        ..Request::new(&instance.aig, instance.objective)
     };
-    let (aig, objective) = match &prepped {
-        Some(r) => (
-            &r.reduced,
-            r.map_lit(instance.objective)
-                .expect("the objective is a preserved root"),
-        ),
-        None => (&instance.aig, instance.objective),
-    };
-    // A constant objective (prep collapsed the instance) needs no solve;
-    // constant true is satisfied by the lifted all-false assignment.
-    let lift = |r: &Option<csat_prep::PrepResult>, model: Vec<bool>| match r {
-        Some(r) => r.lift_model(&model),
-        None => model,
-    };
-    if objective == Lit::FALSE {
-        return Verdict::Unsat;
-    }
-    if objective == Lit::TRUE {
-        return Verdict::Sat(lift(&prepped, vec![false; aig.inputs().len()]));
-    }
-    let verdict = if req.threads <= 1 {
-        let mut solver = Solver::new(aig, options);
-        solver.solve_observed(objective, budget, obs)
-    } else {
-        let outcome = match req.mode {
-            ParMode::Portfolio => solve_aig_portfolio(
-                aig,
-                objective,
-                options,
-                req.threads,
-                &PortfolioOptions::default(),
-                budget,
-                |_, _| {},
-            ),
-            ParMode::Cubes => run_cubes(
-                CircuitCubeSolver::new(aig, objective, options),
-                req.threads,
-                &CubeOptions::default(),
-                budget,
-            ),
-        };
+    let report = solve(&request, budget, obs);
+    if let Some(outcome) = &report.parallel {
         obs.recorder.merge(&outcome.metrics);
-        outcome.verdict
-    };
-    // Reduced-netlist models are lifted back to the original inputs
-    // before they leave the fault domain (and before `execute`'s model
-    // check against the original netlist).
-    match verdict {
-        Verdict::Sat(model) => Verdict::Sat(lift(&prepped, model)),
-        v => v,
     }
+    report.verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csat_par::ParMode;
+    use csat_prep::PrepLevel;
     use std::sync::mpsc;
 
     fn req_inline(id: &str, text: &str) -> SolveRequest {
@@ -521,11 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn prep_jobs_solve_and_lift_models() {
+    fn prep_jobs_solve_with_lifted_models() {
         // XOR8 has no sweepable redundancy, but the strash/prune passes
         // still run; the verdict must match the prep-off answer and the
-        // model must validate on the ORIGINAL netlist (execute asserts
-        // that before returning).
+        // model must validate on the ORIGINAL netlist (the pipeline
+        // asserts that, so a bad model would report `panicked`).
         for level in [PrepLevel::Light, PrepLevel::Full] {
             let mut req = req_inline("j", XOR8);
             req.prep = level;

@@ -19,11 +19,15 @@
 //! * [`fuzz`] — the deterministic differential-testing engine cross-checking
 //!   the full solver configuration matrix.
 //! * [`par`] — the parallel portfolio / cube-and-conquer layer.
+//! * [`pipeline`] — the one solve flow behind every front-end: load,
+//!   prep, correlate, explicit learning, dispatch, lift and check.
 //! * [`serve`] — the crash-tolerant solver daemon behind `csat-serve`:
 //!   JSONL job protocol, bounded queue, per-job fault domains.
 //! * [`signal`] — SIGINT/SIGTERM wiring: a signal-backed
 //!   [`types::CancelToken`] shared by the CLI budgets and the daemon's
 //!   graceful drain.
+//! * [`cli`] — what the `csat` and `cec` command lines share: flags,
+//!   budget and observer set-up, diagnostics and `--metrics-out`.
 //!
 //! # Quickstart
 //!
@@ -44,6 +48,7 @@
 //! }
 //! ```
 
+pub mod cli;
 pub mod signal;
 
 pub use csat_cnf as cnf;
@@ -51,6 +56,7 @@ pub use csat_core as core;
 pub use csat_fuzz as fuzz;
 pub use csat_netlist as netlist;
 pub use csat_par as par;
+pub use csat_pipeline as pipeline;
 pub use csat_prep as prep;
 pub use csat_serve as serve;
 pub use csat_sim as sim;

@@ -287,6 +287,19 @@ fn csat_learning_and_proof_flags() {
     );
 }
 
+/// `--check-proof` checks the proof on every sequential engine; on the
+/// CNF engine the log is checked against the Tseitin encoding it solved.
+#[test]
+fn csat_check_proof_verifies_every_engine() {
+    let fx = fixtures("golden-proof");
+    for engine in ["circuit", "circuit-plain", "cnf"] {
+        let out = fx.run("csat", &["--check-proof", "--engine", engine, "unsat.cnf"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(20), "{engine}: {stderr}");
+        assert!(stderr.contains("c proof: VERIFIED"), "{engine}: {stderr}");
+    }
+}
+
 #[test]
 fn csat_threads_pin_the_status_line() {
     let fx = fixtures("golden-threads");
