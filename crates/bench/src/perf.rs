@@ -20,7 +20,7 @@ use csat_core::{Budget, Session, Solver, SolverOptions};
 use csat_netlist::{tseitin, Aig, Lit};
 use csat_prep::{PrepLevel, PrepPipeline};
 use csat_sim::{find_correlations, Relation, SimulationOptions};
-use csat_telemetry::json::JsonObject;
+use csat_telemetry::json::{self, Json, JsonObject};
 use csat_telemetry::NoOpObserver;
 
 use crate::workload::{equiv_suite, opt_suite, scan_suite, sweep_workload, Scale, Workload};
@@ -566,52 +566,49 @@ impl PerfReport {
     /// A human-readable message when the text is not valid JSON or lacks
     /// the expected shape.
     pub fn from_json(text: &str) -> Result<PerfReport, String> {
-        let value = json::parse(text)?;
-        let top = value.as_object().ok_or("top level is not an object")?;
+        let top = json::parse(text).map_err(|e| e.to_string())?;
+        if !matches!(top, Json::Obj(_)) {
+            return Err("top level is not an object".to_string());
+        }
         let mut report = PerfReport {
-            host_cpus: json::get(top, "host_cpus")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0) as u64,
+            host_cpus: top.get("host_cpus").and_then(Json::as_f64).unwrap_or(0.0) as u64,
             ..PerfReport::default()
         };
-        if let Some(b) = json::get(top, "baseline").and_then(|v| v.as_object()) {
-            report.baseline_note = json::get(b, "note")
-                .and_then(|v| v.as_str())
+        if let Some(b @ Json::Obj(_)) = top.get("baseline") {
+            report.baseline_note = b
+                .get("note")
+                .and_then(Json::as_str)
                 .unwrap_or_default()
                 .to_string();
-            report.baseline = parse_rows(json::get(b, "rows"))?;
+            report.baseline = parse_rows(b.get("rows"))?;
         }
-        report.rows = parse_rows(json::get(top, "rows"))?;
+        report.rows = parse_rows(top.get("rows"))?;
         Ok(report)
     }
 }
 
-fn parse_rows(value: Option<&json::Value>) -> Result<Vec<SolveRow>, String> {
-    let arr = value
-        .and_then(|v| v.as_array())
-        .ok_or("missing rows array")?;
+fn parse_rows(value: Option<&Json>) -> Result<Vec<SolveRow>, String> {
+    let arr = value.and_then(Json::as_array).ok_or("missing rows array")?;
     let mut rows = Vec::with_capacity(arr.len());
-    for v in arr {
-        let o = v.as_object().ok_or("row is not an object")?;
+    for o in arr {
+        if !matches!(o, Json::Obj(_)) {
+            return Err("row is not an object".to_string());
+        }
         let s = |k: &str| -> String {
-            json::get(o, k)
-                .and_then(|v| v.as_str())
+            o.get(k)
+                .and_then(Json::as_str)
                 .unwrap_or_default()
                 .to_string()
         };
-        let n = |k: &str| -> f64 { json::get(o, k).and_then(|v| v.as_f64()).unwrap_or(0.0) };
+        let n = |k: &str| -> f64 { o.get(k).and_then(Json::as_f64).unwrap_or(0.0) };
         rows.push(SolveRow {
             family: s("family"),
             solver: s("solver"),
             instances: n("instances") as u64,
             // Absent in files written before the parallel layer: those
             // rows were all sequential, measured on an unknown host.
-            threads: json::get(o, "threads")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(1.0) as u64,
-            host_cpus: json::get(o, "host_cpus")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0) as u64,
+            threads: o.get("threads").and_then(Json::as_f64).unwrap_or(1.0) as u64,
+            host_cpus: o.get("host_cpus").and_then(Json::as_f64).unwrap_or(0.0) as u64,
             conflicts: n("conflicts") as u64,
             propagations: n("propagations") as u64,
             decisions: n("decisions") as u64,
@@ -662,234 +659,6 @@ pub fn compare_rows(report: &PerfReport, fresh: &[SolveRow]) -> Vec<RegressionRo
 /// Formats a ratio as a signed percentage delta (`+7.3%`).
 pub fn percent_delta(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
-}
-
-mod json {
-    //! A minimal JSON reader for the documents this workspace writes
-    //! itself (no serde offline). Covers objects, arrays, strings with the
-    //! escapes [`csat_telemetry::json::escape`] produces, numbers, `true`,
-    //! `false` and `null`.
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// Object as an ordered key/value list.
-        Object(Vec<(String, Value)>),
-        /// Array.
-        Array(Vec<Value>),
-        /// String.
-        String(String),
-        /// Number (all JSON numbers as f64).
-        Number(f64),
-        /// Boolean.
-        Bool(bool),
-        /// Null.
-        Null,
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    /// First field with the given key.
-    pub fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parses one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_keyword(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad keyword at byte {pos}"))
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&b) = bytes.get(*pos) {
-            *pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = bytes.get(*pos).copied().ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = bytes
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "bad \\u escape")
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                            *pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-take the full UTF-8 sequence starting at b.
-                    let start = *pos - 1;
-                    let mut end = *pos;
-                    while end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    *pos = end;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -1074,13 +843,11 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_nested_documents() {
-        let v = super::json::parse(r#"{"a": [1, 2.5, "x\n", true, null], "b": {}}"#)
-            .expect("valid json");
-        let o = v.as_object().expect("object");
-        let arr = super::json::get(o, "a").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(arr.len(), 5);
-        assert_eq!(arr[1].as_f64(), Some(2.5));
-        assert_eq!(arr[2].as_str(), Some("x\n"));
+    fn reports_read_back_through_the_shared_parser() {
+        let err = PerfReport::from_json("[1, 2]").unwrap_err();
+        assert!(err.contains("not an object"), "{err}");
+        let err = PerfReport::from_json(r#"{"rows": 3}"#).unwrap_err();
+        assert!(err.contains("rows"), "{err}");
+        assert!(PerfReport::from_json("{").is_err());
     }
 }

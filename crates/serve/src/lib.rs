@@ -4,9 +4,9 @@
 //! JSONL job protocol (one frame per line) over stdin/stdout and,
 //! optionally, a unix socket. The design goal is *robustness first*:
 //!
-//! * [`protocol`] — hardened request parsing (via the [`json`] parser)
-//!   and reply rendering; malformed frames become structured `error`
-//!   replies, never crashes.
+//! * [`protocol`] — hardened request parsing (via the
+//!   [`csat_telemetry::json`] reader) and reply rendering; malformed
+//!   frames become structured `error` replies, never crashes.
 //! * [`queue`] — a bounded job queue with explicit backpressure: a full
 //!   queue sheds with `reject`/`overloaded` + `retry_after_ms` instead of
 //!   buffering without bound.
@@ -33,7 +33,6 @@
 pub mod breaker;
 pub mod governor;
 pub mod job;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;

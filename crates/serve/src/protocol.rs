@@ -1,11 +1,11 @@
 //! The JSONL job protocol: request frames in, reply frames out.
 //!
 //! One frame per line, in both directions. Requests are parsed with the
-//! hardened [`crate::json`] parser and validated here into typed
+//! hardened [`csat_telemetry::json`] reader and validated here into typed
 //! [`Request`]s; anything malformed becomes a structured `error` reply —
-//! the daemon never dies on input. Replies are rendered with the
-//! workspace JSON writer so the wire format cannot drift from the
-//! telemetry output.
+//! the daemon never dies on input. Replies are rendered with the same
+//! module's writer so the wire format cannot drift from the telemetry
+//! output.
 //!
 //! ## Requests
 //!
@@ -35,10 +35,8 @@
 
 use csat_par::ParMode;
 use csat_prep::PrepLevel;
-use csat_telemetry::json::JsonObject;
+use csat_telemetry::json::{self, Json, JsonObject};
 use csat_types::{parse_byte_size, Interrupt, RejectReason, Verdict};
-
-use crate::json::{self, Json};
 
 /// Longest accepted request line, in bytes. Inline sources for real
 /// circuits fit comfortably; anything bigger should be sent as a `path`.
