@@ -47,7 +47,6 @@ mod options;
 pub mod proof;
 mod session;
 mod solver;
-pub mod sweep;
 
 pub use explicit::{CorrelationMode, ExplicitOptions, ExplicitReport, SubproblemOrdering};
 pub use options::{

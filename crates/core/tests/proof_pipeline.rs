@@ -1,7 +1,6 @@
-//! Integration tests combining proof logging, SAT sweeping, and the
-//! explicit-learning pipeline across realistic flows.
+//! Integration tests combining proof logging and the explicit-learning
+//! pipeline across realistic flows.
 
-use csat_core::sweep::{fraig, FraigOptions};
 use csat_core::{explicit, proof, ExplicitOptions, Solver, SolverOptions};
 use csat_netlist::{generators, miter, optimize};
 use csat_sim::{find_correlations, SimulationOptions};
@@ -39,47 +38,6 @@ fn pipeline_proof_checks_on_opt_miter() {
     let log = solver.take_proof();
     assert!(!log.is_empty());
     proof::verify_unsat(&m.aig, &log, m.objective).expect("proof must check");
-}
-
-/// Sweeping twice is idempotent on the gate count.
-#[test]
-fn double_sweep_is_idempotent() {
-    let m = miter::self_miter(&generators::comparator(6), Default::default());
-    let once = fraig(&m.aig, &FraigOptions::default());
-    let twice = fraig(&once.aig, &FraigOptions::default());
-    assert!(twice.aig.and_count() <= once.aig.and_count());
-    // Second sweep should find little to nothing new.
-    assert!(
-        twice.merged <= once.merged,
-        "{} then {}",
-        once.merged,
-        twice.merged
-    );
-}
-
-/// A swept miter solves faster (or at least never slower in conflicts)
-/// than the unswept one.
-#[test]
-fn sweeping_helps_downstream_solving() {
-    let base = generators::array_multiplier(5);
-    let variant = optimize::restructure_seeded(&base, 21);
-    let m = miter::build_fresh(&base, &variant, Default::default());
-
-    let mut plain = Solver::new(&m.aig, SolverOptions::default());
-    assert!(plain.solve(m.objective).is_unsat());
-    let plain_conflicts = plain.stats().conflicts;
-
-    let swept = fraig(&m.aig, &FraigOptions::default());
-    // Sweeping maps the miter objective too; re-locate it via the output.
-    let (_, swept_obj) = &swept.aig.outputs()[0];
-    let mut after = Solver::new(&swept.aig, SolverOptions::default());
-    assert!(after.solve(*swept_obj).is_unsat());
-    assert!(
-        after.stats().conflicts <= plain_conflicts,
-        "sweeping should not make the proof harder: {} vs {}",
-        after.stats().conflicts,
-        plain_conflicts
-    );
 }
 
 /// The explicit-learning schedule is deterministic: identical runs produce
