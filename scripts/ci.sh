@@ -71,7 +71,7 @@ run_features() {
     # simulation rounds) must build and test everywhere it is forwarded.
     local crate
     for crate in csat-types csat-netlist csat-telemetry csat-search csat-sim \
-        csat-cnf csat-core csat-prep csat-par csat-fuzz csat-bench csat; do
+        csat-cnf csat-core csat-prep csat-par csat-pipeline csat-fuzz csat-bench csat; do
         cargo build -p "$crate" --no-default-features
     done
     cargo test -q -p csat-sim --features parallel
