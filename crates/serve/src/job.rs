@@ -61,11 +61,7 @@ pub fn load_instance(req: &SolveRequest) -> Result<LoadedInstance, String> {
             })?;
             (text, format)
         }
-        JobSource::Inline { format, text } => {
-            let format =
-                Format::from_name(format).ok_or_else(|| format!("unknown format '{format}'"))?;
-            (text.clone(), format)
-        }
+        JobSource::Inline { format, text } => (text.clone(), *format),
     };
     let (aig, objective) = load(format, &text, req.output.as_deref(), req.negate)?;
     Ok(LoadedInstance {
@@ -302,7 +298,7 @@ mod tests {
         SolveRequest {
             id: id.to_string(),
             source: JobSource::Inline {
-                format: "bench".to_string(),
+                format: Format::Bench,
                 text: text.to_string(),
             },
             output: None,

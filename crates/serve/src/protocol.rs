@@ -34,6 +34,7 @@
 //! README's Serving section.
 
 use csat_par::ParMode;
+use csat_pipeline::Format;
 use csat_prep::PrepLevel;
 use csat_telemetry::json::{self, Json, JsonObject};
 use csat_types::{parse_byte_size, Interrupt, RejectReason, Verdict};
@@ -50,8 +51,8 @@ pub enum JobSource {
     Path(String),
     /// Inline text in the named format (`bench`, `aiger` or `dimacs`).
     Inline {
-        /// Instance format: `bench`, `aiger` or `dimacs`.
-        format: String,
+        /// Instance format.
+        format: Format,
         /// The instance text itself.
         text: String,
     },
@@ -207,17 +208,17 @@ fn parse_solve(value: &Json, need_source: bool) -> Result<SolveRequest, FrameErr
         }
         (Some(p), None) => Some(JobSource::Path(p.to_string())),
         (None, Some(text)) => {
-            let format = value
+            let name = value
                 .get("format")
                 .and_then(Json::as_str)
                 .unwrap_or("bench");
-            if !matches!(format, "bench" | "aiger" | "dimacs") {
-                return Err(err(format!(
-                    "unknown format '{format}' (expected bench, aiger or dimacs)"
-                )));
-            }
+            let format = Format::from_name(name).ok_or_else(|| {
+                err(format!(
+                    "unknown format '{name}' (expected bench, aiger or dimacs)"
+                ))
+            })?;
             Some(JobSource::Inline {
-                format: format.to_string(),
+                format,
                 text: text.to_string(),
             })
         }
