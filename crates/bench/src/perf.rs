@@ -843,6 +843,17 @@ mod tests {
     }
 
     #[test]
+    fn the_checked_in_trajectory_parses() {
+        let report = PerfReport::from_json(include_str!("../../../BENCH_solve.json"))
+            .expect("BENCH_solve.json parses");
+        assert!(!report.rows.is_empty());
+        assert!(report
+            .rows
+            .iter()
+            .all(|r| !r.family.is_empty() && r.threads >= 1));
+    }
+
+    #[test]
     fn reports_read_back_through_the_shared_parser() {
         let err = PerfReport::from_json("[1, 2]").unwrap_err();
         assert!(err.contains("not an object"), "{err}");
