@@ -21,6 +21,8 @@
 //!   one-line JSON snapshots (JSONL) to any writer, which is what the
 //!   CLIs' `--progress <secs>` flag uses; the final recorder state backs
 //!   `--metrics-out <file.json>`.
+//! * [`json`] — the workspace's one JSON codec: the writer behind every
+//!   report, and the hardened reader `csat-serve` parses frames with.
 //!
 //! # Example
 //!

@@ -88,7 +88,7 @@ pub fn usage(text: &str) -> ! {
 
 /// The next argument parsed as `T` and accepted by `ok`; anything else
 /// is a usage error.
-pub fn value<T: FromStr>(args: &mut Args, text: &str, ok: impl Fn(&T) -> bool) -> T {
+fn value<T: FromStr>(args: &mut Args, text: &str, ok: impl Fn(&T) -> bool) -> T {
     args.next()
         .and_then(|v| v.parse().ok())
         .filter(ok)
