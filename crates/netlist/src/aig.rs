@@ -276,6 +276,13 @@ impl Aig {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
+    /// Reserves room for at least `additional` more AND nodes, so that
+    /// building them grows neither the node table nor the structural hash.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.strash.reserve(additional);
+    }
+
     /// Creates a fresh primary input and returns its positive literal.
     pub fn input(&mut self) -> Lit {
         let id = NodeId(self.nodes.len() as u32);
@@ -312,12 +319,11 @@ impl Aig {
             return a;
         }
         let (x, y) = if a < b { (a, b) } else { (b, a) };
-        if let Some(&id) = self.strash.get(&(x, y)) {
-            return id.lit();
+        let next = NodeId(self.nodes.len() as u32);
+        let id = *self.strash.entry((x, y)).or_insert(next);
+        if id == next {
+            self.nodes.push(Node::And(x, y));
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::And(x, y));
-        self.strash.insert((x, y), id);
         id.lit()
     }
 

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use crate::{Aig, Lit, ParseBenchError};
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum GateKind {
     And,
     Nand,
@@ -47,253 +47,356 @@ enum GateKind {
 }
 
 impl GateKind {
+    const NAMES: [(&'static str, GateKind); 11] = [
+        ("AND", GateKind::And),
+        ("NAND", GateKind::Nand),
+        ("OR", GateKind::Or),
+        ("NOR", GateKind::Nor),
+        ("XOR", GateKind::Xor),
+        ("XNOR", GateKind::Xnor),
+        ("NOT", GateKind::Not),
+        ("INV", GateKind::Not),
+        ("BUF", GateKind::Buf),
+        ("BUFF", GateKind::Buf),
+        ("DFF", GateKind::Dff),
+    ];
+
     fn from_str(s: &str) -> Option<GateKind> {
-        match s.to_ascii_uppercase().as_str() {
-            "AND" => Some(GateKind::And),
-            "NAND" => Some(GateKind::Nand),
-            "OR" => Some(GateKind::Or),
-            "NOR" => Some(GateKind::Nor),
-            "XOR" => Some(GateKind::Xor),
-            "XNOR" => Some(GateKind::Xnor),
-            "NOT" | "INV" => Some(GateKind::Not),
-            "BUF" | "BUFF" => Some(GateKind::Buf),
-            "DFF" => Some(GateKind::Dff),
-            _ => None,
-        }
+        GateKind::NAMES
+            .iter()
+            .find(|(name, _)| s.eq_ignore_ascii_case(name))
+            .map(|&(_, kind)| kind)
+    }
+
+    fn is_unary(self) -> bool {
+        matches!(self, GateKind::Not | GateKind::Buf | GateKind::Dff)
     }
 }
 
-#[derive(Clone, Debug)]
-struct GateDef {
+/// `Netlist::def` entry of a name no gate or flip-flop defines.
+const UNDEFINED: u32 = u32::MAX;
+
+/// One definition line `name = KIND(fanin, ...)`.
+struct Gate {
     kind: GateKind,
-    fanins: Vec<String>,
+    name: u32,
+    /// The fanins are `Netlist::fanins[fanins.0..fanins.1]`.
+    fanins: (u32, u32),
     line: usize,
+}
+
+/// The declarations of a `.bench` file, names interned into dense ids.
+///
+/// Names borrow from the source text. Each distinct name gets its id the
+/// first time it is seen, and everything after the line scan works on the
+/// ids alone.
+struct Netlist<'a> {
+    ids: HashMap<&'a str, u32>,
+    names: Vec<&'a str>,
+    /// Per name: the index of the gate defining it, or [`UNDEFINED`].
+    def: Vec<u32>,
+    gates: Vec<Gate>,
+    fanins: Vec<u32>,
+    inputs: Vec<(u32, usize)>,
+    outputs: Vec<(u32, usize)>,
+}
+
+impl<'a> Netlist<'a> {
+    /// Tables sized for about `lines` definitions, so that interning does
+    /// not rehash every name as the map grows.
+    fn with_capacity(lines: usize) -> Netlist<'a> {
+        Netlist {
+            ids: HashMap::with_capacity(lines),
+            names: Vec::with_capacity(lines),
+            def: Vec::with_capacity(lines),
+            gates: Vec::with_capacity(lines),
+            fanins: Vec::with_capacity(2 * lines),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, name: &'a str) -> u32 {
+        let next = self.names.len() as u32;
+        let id = *self.ids.entry(name).or_insert(next);
+        if id == next {
+            self.names.push(name);
+            self.def.push(UNDEFINED);
+        }
+        id
+    }
+
+    fn name(&self, id: u32) -> &'a str {
+        self.names[id as usize]
+    }
+
+    fn fanins(&self, gate: &Gate) -> &[u32] {
+        &self.fanins[gate.fanins.0 as usize..gate.fanins.1 as usize]
+    }
+
+    /// Records the declaration or definition on one comment-free,
+    /// trimmed, non-empty line.
+    fn scan_line(&mut self, line: &'a str, lineno: usize) -> Result<(), ParseBenchError> {
+        if let Some(name) = directive(line, "INPUT") {
+            let id = self.intern(name);
+            self.inputs.push((id, lineno));
+            return Ok(());
+        }
+        if let Some(name) = directive(line, "OUTPUT") {
+            let id = self.intern(name);
+            self.outputs.push((id, lineno));
+            return Ok(());
+        }
+        let eq = find_byte(line, b'=')
+            .ok_or_else(|| ParseBenchError::new(lineno, format!("unrecognized line '{line}'")))?;
+        let name = trim(&line[..eq]);
+        if name.is_empty() {
+            return Err(ParseBenchError::new(
+                lineno,
+                "missing signal name before '='",
+            ));
+        }
+        let rhs = trim(&line[eq + 1..]);
+        let open = find_byte(rhs, b'(').ok_or_else(|| {
+            ParseBenchError::new(lineno, format!("expected gate expression, found '{rhs}'"))
+        })?;
+        if !rhs.ends_with(')') {
+            return Err(ParseBenchError::new(lineno, "missing closing parenthesis"));
+        }
+        let kind_str = trim(&rhs[..open]);
+        let kind = GateKind::from_str(kind_str).ok_or_else(|| {
+            ParseBenchError::new(lineno, format!("unknown gate type '{kind_str}'"))
+        })?;
+        let start = self.fanins.len();
+        for arg in rhs[open + 1..rhs.len() - 1].split(',') {
+            let arg = trim(arg);
+            if !arg.is_empty() {
+                let id = self.intern(arg);
+                self.fanins.push(id);
+            }
+        }
+        let arity = self.fanins.len() - start;
+        if arity == 0 {
+            return Err(ParseBenchError::new(lineno, "gate has no fanins"));
+        }
+        if kind.is_unary() && arity != 1 {
+            return Err(ParseBenchError::new(
+                lineno,
+                format!("{kind_str} takes exactly one fanin, got {arity}"),
+            ));
+        }
+        let id = self.intern(name);
+        if self.def[id as usize] != UNDEFINED {
+            return Err(ParseBenchError::new(
+                lineno,
+                format!("signal '{name}' defined more than once"),
+            ));
+        }
+        self.def[id as usize] = self.gates.len() as u32;
+        self.gates.push(Gate {
+            kind,
+            name: id,
+            fanins: (start as u32, self.fanins.len() as u32),
+            line: lineno,
+        });
+        Ok(())
+    }
+}
+
+/// Resolution state of one name.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Open,
+    /// Visited, but not every fanin is built yet: meeting it again before
+    /// it is built means a combinational cycle.
+    Visiting,
+    Done(Lit),
+}
+
+/// A step of the depth-first resolution.
+enum Frame {
+    /// Resolve a name that gate `from` reads.
+    Visit { name: u32, from: u32 },
+    /// Build a gate whose fanins are all resolved.
+    Build(u32),
 }
 
 /// Parses a `.bench` netlist into an [`Aig`].
 ///
+/// The whole text is scanned first, so a syntax error is reported before
+/// any undefined signal or cycle. Inputs then become AIG inputs in
+/// declaration order, flip-flop outputs after them in definition order,
+/// and gates are built by a depth-first walk from each definition in file
+/// order. Time and memory are linear in the size of the text.
+///
 /// # Errors
 ///
 /// Returns [`ParseBenchError`] on syntax errors, unknown gate types, wrong
-/// arities, undefined signals, duplicate definitions, or combinational
-/// cycles.
+/// arities, undefined signals, duplicate definitions (also of a declared
+/// input), or combinational cycles.
 pub fn parse(source: &str) -> Result<Aig, ParseBenchError> {
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut gates: HashMap<String, GateDef> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-
+    // Each interned name and each fanin uses up at least one byte of the
+    // text, so below this size ids and fanin offsets fit in u32.
+    if u32::try_from(source.len()).is_err() {
+        return Err(ParseBenchError::new(0, "netlist text exceeds 4 GiB"));
+    }
+    // `bench::write` output and the ISCAS files run about 24 bytes a line.
+    let mut net = Netlist::with_capacity(source.len() / 24);
     for (lineno, raw) in source.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = match raw.find('#') {
+        let line = trim(match find_byte(raw, b'#') {
             Some(pos) => &raw[..pos],
             None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = strip_directive(line, "INPUT") {
-            inputs.push((rest.to_string(), lineno));
-        } else if let Some(rest) = strip_directive(line, "OUTPUT") {
-            outputs.push((rest.to_string(), lineno));
-        } else if let Some(eq) = line.find('=') {
-            let name = line[..eq].trim().to_string();
-            if name.is_empty() {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    "missing signal name before '='",
-                ));
-            }
-            let rhs = line[eq + 1..].trim();
-            let open = rhs.find('(').ok_or_else(|| {
-                ParseBenchError::new(lineno, format!("expected gate expression, found '{rhs}'"))
-            })?;
-            if !rhs.ends_with(')') {
-                return Err(ParseBenchError::new(lineno, "missing closing parenthesis"));
-            }
-            let kind_str = rhs[..open].trim();
-            let kind = GateKind::from_str(kind_str).ok_or_else(|| {
-                ParseBenchError::new(lineno, format!("unknown gate type '{kind_str}'"))
-            })?;
-            let args = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(|a| a.trim().to_string())
-                .filter(|a| !a.is_empty())
-                .collect::<Vec<_>>();
-            if args.is_empty() {
-                return Err(ParseBenchError::new(lineno, "gate has no fanins"));
-            }
-            let unary = matches!(kind, GateKind::Not | GateKind::Buf | GateKind::Dff);
-            if unary && args.len() != 1 {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    format!("{kind_str} takes exactly one fanin, got {}", args.len()),
-                ));
-            }
-            if gates
-                .insert(
-                    name.clone(),
-                    GateDef {
-                        kind,
-                        fanins: args,
-                        line: lineno,
-                    },
-                )
-                .is_some()
-            {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    format!("signal '{name}' defined more than once"),
-                ));
-            }
-            order.push(name);
-        } else {
-            return Err(ParseBenchError::new(
-                lineno,
-                format!("unrecognized line '{line}'"),
-            ));
+        });
+        if !line.is_empty() {
+            net.scan_line(line, lineno + 1)?;
         }
     }
 
     let mut aig = Aig::new();
-    let mut signals: HashMap<String, Lit> = HashMap::new();
-
-    for (name, line) in &inputs {
-        if signals.contains_key(name) {
+    let mut slot = vec![Slot::Open; net.names.len()];
+    for &(id, line) in &net.inputs {
+        if slot[id as usize] != Slot::Open {
             return Err(ParseBenchError::new(
-                *line,
-                format!("input '{name}' declared more than once"),
+                line,
+                format!("input '{}' declared more than once", net.name(id)),
             ));
         }
-        let lit = aig.input();
-        signals.insert(name.clone(), lit);
+        slot[id as usize] = Slot::Done(aig.input());
     }
-
-    // DFF outputs become fresh primary inputs (scan treatment).
-    let mut dff_next: Vec<(String, String)> = Vec::new();
-    for name in &order {
-        let def = &gates[name];
-        if def.kind == GateKind::Dff {
-            if signals.contains_key(name) {
-                return Err(ParseBenchError::new(
-                    def.line,
-                    format!("signal '{name}' defined more than once"),
-                ));
-            }
-            let lit = aig.input();
-            signals.insert(name.clone(), lit);
-            dff_next.push((name.clone(), def.fanins[0].clone()));
+    // A name is an input or a gate, never both. DFF outputs become fresh
+    // primary inputs (scan treatment).
+    for gate in &net.gates {
+        if slot[gate.name as usize] != Slot::Open {
+            return Err(ParseBenchError::new(
+                gate.line,
+                format!("signal '{}' defined more than once", net.name(gate.name)),
+            ));
+        }
+        if gate.kind == GateKind::Dff {
+            slot[gate.name as usize] = Slot::Done(aig.input());
         }
     }
 
-    // Resolve combinational gates with an explicit stack (no recursion so
-    // deep chains don't overflow), detecting cycles on the way.
-    for name in &order {
-        resolve(name, &gates, &mut signals, &mut aig)?;
+    // A gate of two or more fanins builds about one AND node.
+    aig.reserve(net.gates.iter().filter(|g| !g.kind.is_unary()).count());
+    // Build the combinational gates by an explicit-stack depth-first walk
+    // (deep chains cannot overflow the call stack). A gate's fanins are
+    // pushed in order, so they are built last to first: the node order
+    // every earlier version of this reader produced.
+    let mut stack = Vec::new();
+    let mut lits = Vec::new();
+    for root in 0..net.gates.len() as u32 {
+        let name = net.gates[root as usize].name;
+        if slot[name as usize] == Slot::Open {
+            stack.push(Frame::Visit { name, from: root });
+        }
+        while let Some(frame) = stack.pop() {
+            match frame {
+                Frame::Visit { name, from } => {
+                    let g = net.def[name as usize];
+                    match slot[name as usize] {
+                        Slot::Done(_) => continue,
+                        Slot::Visiting => {
+                            return Err(ParseBenchError::new(
+                                net.gates[g as usize].line,
+                                format!("combinational cycle through signal '{}'", net.name(name)),
+                            ))
+                        }
+                        Slot::Open if g == UNDEFINED => {
+                            return Err(undefined(net.gates[from as usize].line, net.name(name)))
+                        }
+                        Slot::Open => {}
+                    }
+                    slot[name as usize] = Slot::Visiting;
+                    stack.push(Frame::Build(g));
+                    for &fanin in net.fanins(&net.gates[g as usize]) {
+                        if !matches!(slot[fanin as usize], Slot::Done(_)) {
+                            stack.push(Frame::Visit {
+                                name: fanin,
+                                from: g,
+                            });
+                        }
+                    }
+                }
+                Frame::Build(g) => {
+                    let gate = &net.gates[g as usize];
+                    lits.clear();
+                    for &fanin in net.fanins(gate) {
+                        match slot[fanin as usize] {
+                            Slot::Done(lit) => lits.push(lit),
+                            _ => return Err(undefined(gate.line, net.name(fanin))),
+                        }
+                    }
+                    let lit = match gate.kind {
+                        GateKind::And => aig.and_many(&lits),
+                        GateKind::Nand => !aig.and_many(&lits),
+                        GateKind::Or => aig.or_many(&lits),
+                        GateKind::Nor => !aig.or_many(&lits),
+                        GateKind::Xor => aig.xor_many(&lits),
+                        GateKind::Xnor => !aig.xor_many(&lits),
+                        GateKind::Not => !lits[0],
+                        GateKind::Buf => lits[0],
+                        GateKind::Dff => unreachable!("flip-flop outputs are resolved up front"),
+                    };
+                    slot[gate.name as usize] = Slot::Done(lit);
+                }
+            }
+        }
     }
 
-    for (name, line) in &outputs {
-        let lit = *signals.get(name).ok_or_else(|| {
-            ParseBenchError::new(*line, format!("output '{name}' is never defined"))
-        })?;
-        aig.set_output(name.clone(), lit);
+    for &(id, line) in &net.outputs {
+        let Slot::Done(lit) = slot[id as usize] else {
+            return Err(ParseBenchError::new(
+                line,
+                format!("output '{}' is never defined", net.name(id)),
+            ));
+        };
+        aig.set_output(net.name(id), lit);
     }
-    for (ff, d) in &dff_next {
-        let lit = *signals.get(d).ok_or_else(|| {
-            ParseBenchError::new(0, format!("dff '{ff}' input '{d}' is never defined"))
-        })?;
-        aig.set_output(format!("{ff}.next"), lit);
+    for gate in net.gates.iter().filter(|g| g.kind == GateKind::Dff) {
+        let d = net.fanins(gate)[0];
+        let Slot::Done(lit) = slot[d as usize] else {
+            return Err(ParseBenchError::new(
+                gate.line,
+                format!(
+                    "dff '{}' input '{}' is never defined",
+                    net.name(gate.name),
+                    net.name(d)
+                ),
+            ));
+        };
+        aig.set_output(format!("{}.next", net.name(gate.name)), lit);
     }
 
     Ok(aig)
 }
 
-fn strip_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let upper = line.to_ascii_uppercase();
-    if !upper.starts_with(keyword) {
-        return None;
+/// `str::trim`, answered from the two end bytes when both are printable
+/// ASCII, as they are on nearly every token.
+fn trim(s: &str) -> &str {
+    match (s.as_bytes().first(), s.as_bytes().last()) {
+        (Some(first), Some(last)) if first.is_ascii_graphic() && last.is_ascii_graphic() => s,
+        _ => s.trim(),
     }
-    let rest = line[keyword.len()..].trim();
-    let rest = rest.strip_prefix('(')?;
-    let rest = rest.strip_suffix(')')?;
-    Some(rest.trim())
 }
 
-fn resolve(
-    name: &str,
-    gates: &HashMap<String, GateDef>,
-    signals: &mut HashMap<String, Lit>,
-    aig: &mut Aig,
-) -> Result<Lit, ParseBenchError> {
-    if let Some(&lit) = signals.get(name) {
-        return Ok(lit);
+/// The first `byte` in `s`; `byte` must be ASCII.
+fn find_byte(s: &str, byte: u8) -> Option<usize> {
+    s.bytes().position(|b| b == byte)
+}
+
+fn undefined(line: usize, name: &str) -> ParseBenchError {
+    ParseBenchError::new(line, format!("signal '{name}' is never defined"))
+}
+
+/// The trimmed operand of `KEYWORD ( operand )`, keyword in any case.
+fn directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+    let head = line.get(..keyword.len())?;
+    if !head.eq_ignore_ascii_case(keyword) {
+        return None;
     }
-    // Iterative post-order over the definition DAG.
-    #[derive(Clone)]
-    enum Frame {
-        Visit(String),
-        Build(String),
-    }
-    let mut in_progress: HashMap<String, bool> = HashMap::new();
-    let mut stack = vec![Frame::Visit(name.to_string())];
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Visit(n) => {
-                if signals.contains_key(&n) {
-                    continue;
-                }
-                let def = gates.get(&n).ok_or_else(|| {
-                    ParseBenchError::new(0, format!("signal '{n}' is never defined"))
-                })?;
-                if in_progress.insert(n.clone(), true).is_some() {
-                    return Err(ParseBenchError::new(
-                        def.line,
-                        format!("combinational cycle through signal '{n}'"),
-                    ));
-                }
-                stack.push(Frame::Build(n));
-                for fin in &def.fanins {
-                    if !signals.contains_key(fin) {
-                        stack.push(Frame::Visit(fin.clone()));
-                    }
-                }
-            }
-            Frame::Build(n) => {
-                let def = &gates[&n];
-                let mut fanins = Vec::with_capacity(def.fanins.len());
-                for fin in &def.fanins {
-                    let lit = *signals.get(fin).ok_or_else(|| {
-                        ParseBenchError::new(def.line, format!("signal '{fin}' is never defined"))
-                    })?;
-                    fanins.push(lit);
-                }
-                let lit = match def.kind {
-                    GateKind::And => aig.and_many(&fanins),
-                    GateKind::Nand => {
-                        let a = aig.and_many(&fanins);
-                        !a
-                    }
-                    GateKind::Or => aig.or_many(&fanins),
-                    GateKind::Nor => {
-                        let o = aig.or_many(&fanins);
-                        !o
-                    }
-                    GateKind::Xor => aig.xor_many(&fanins),
-                    GateKind::Xnor => {
-                        let x = aig.xor_many(&fanins);
-                        !x
-                    }
-                    GateKind::Not => !fanins[0],
-                    GateKind::Buf => fanins[0],
-                    // Handled up front; nothing to build here.
-                    GateKind::Dff => signals[&n],
-                };
-                signals.insert(n, lit);
-            }
-        }
-    }
-    Ok(signals[name])
+    let rest = trim(&line[keyword.len()..]);
+    Some(trim(rest.strip_prefix('(')?.strip_suffix(')')?))
 }
 
 /// Serializes an [`Aig`] to `.bench` text.
@@ -469,6 +572,30 @@ y = BUF(q)
     fn rejects_undefined_signal() {
         let err = parse("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n").unwrap_err();
         assert!(err.message.contains("never defined"));
+        assert_eq!(err.line, 3, "the line of the gate that reads it");
+        let err = parse("INPUT(a)\nOUTPUT(y)\ny = OR(a, t)\nt = NOT(ghost)\n").unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        let err = parse("INPUT(a)\nOUTPUT(y)\ny = BUF(q)\nq = DFF(ghost)\n").unwrap_err();
+        assert!(err.message.contains("dff 'q' input 'ghost'"), "{err}");
+        assert_eq!(err.line, 4, "the line of the flip-flop that reads it");
+    }
+
+    #[test]
+    fn rejects_gate_that_redefines_an_input() {
+        for src in [
+            "INPUT(a)\nOUTPUT(y)\na = NOT(b)\ny = BUF(a)\n",
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\na = NOT(b)\ny = BUF(a)\n",
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.message, "signal 'a' defined more than once", "{src}");
+            assert_eq!(
+                err.line,
+                src.lines().position(|l| l.starts_with("a =")).unwrap() + 1
+            );
+        }
+        let err = parse("INPUT(q)\nOUTPUT(y)\ny = BUF(q)\nq = DFF(y)\n").unwrap_err();
+        assert_eq!(err.message, "signal 'q' defined more than once");
+        assert_eq!(err.line, 4);
     }
 
     #[test]
