@@ -22,6 +22,7 @@
 //! # }
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -80,14 +81,16 @@ pub fn parse(source: &str) -> Result<Aig, ParseAigerError> {
         return Err(ParseAigerError::new(1, "header needs five counts"));
     }
     let (m, i, l, o, a) = (nums[0], nums[1], nums[2], nums[3], nums[4]);
-    if i + l + a > m {
+    if i.checked_add(l)
+        .and_then(|il| il.checked_add(a))
+        .is_none_or(|ila| ila > m)
+    {
         return Err(ParseAigerError::new(1, "M smaller than I+L+A"));
     }
 
     let mut aig = Aig::new();
     // aiger variable v (1-based) -> our literal; filled as sections parse.
-    let mut map: Vec<Option<Lit>> = vec![None; m as usize + 1];
-    map[0] = Some(Lit::FALSE);
+    let mut map = VarMap::new(m, source.len());
 
     let expect_var = |line: usize, text: &str| -> Result<u64, ParseAigerError> {
         let lit: u64 = text
@@ -110,23 +113,16 @@ pub fn parse(source: &str) -> Result<Aig, ParseAigerError> {
     };
 
     // Inputs.
-    let mut input_vars = Vec::with_capacity(i as usize);
     for _ in 0..i {
         let (ln, text) = lines
             .next()
             .ok_or_else(|| ParseAigerError::new(0, "truncated input section"))?;
         let var = expect_var(ln + 1, text)?;
         let lit = aig.input();
-        if map[var as usize].replace(lit).is_some() {
-            return Err(ParseAigerError::new(
-                ln + 1,
-                format!("variable {var} redefined"),
-            ));
-        }
-        input_vars.push(var);
+        map.define(var, lit, ln + 1)?;
     }
     // Latches: output var becomes a fresh input; next-state recorded.
-    let mut latch_next = Vec::with_capacity(l as usize);
+    let mut latch_next = Vec::new();
     for k in 0..l {
         let (ln, text) = lines
             .next()
@@ -142,16 +138,11 @@ pub fn parse(source: &str) -> Result<Aig, ParseAigerError> {
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| ParseAigerError::new(ln + 1, "latch needs a next-state literal"))?;
         let lit = aig.input();
-        if map[var as usize].replace(lit).is_some() {
-            return Err(ParseAigerError::new(
-                ln + 1,
-                format!("variable {var} redefined"),
-            ));
-        }
+        map.define(var, lit, ln + 1)?;
         latch_next.push((k, next, ln + 1));
     }
     // Outputs (raw literals, resolved after ANDs).
-    let mut outputs = Vec::with_capacity(o as usize);
+    let mut outputs = Vec::new();
     for k in 0..o {
         let (ln, text) = lines
             .next()
@@ -186,39 +177,82 @@ pub fn parse(source: &str) -> Result<Aig, ParseAigerError> {
                 format!("literal {lhs} exceeds M"),
             ));
         }
-        let f0 = resolve(&map, rhs0, ln + 1)?;
-        let f1 = resolve(&map, rhs1, ln + 1)?;
+        let f0 = map.resolve(rhs0, ln + 1)?;
+        let f1 = map.resolve(rhs1, ln + 1)?;
         let lit = aig.and_fresh(f0, f1);
-        if map[var as usize].replace(lit).is_some() {
-            return Err(ParseAigerError::new(
-                ln + 1,
-                format!("variable {var} redefined"),
-            ));
-        }
+        map.define(var, lit, ln + 1)?;
     }
     for (k, lit, ln) in outputs {
-        let resolved = resolve(&map, lit, ln)?;
+        let resolved = map.resolve(lit, ln)?;
         aig.set_output(format!("o{k}"), resolved);
     }
     for (k, next, ln) in latch_next {
-        let resolved = resolve(&map, next, ln)?;
+        let resolved = map.resolve(next, ln)?;
         aig.set_output(format!("l{k}.next"), resolved);
     }
     Ok(aig)
 }
 
-fn resolve(map: &[Option<Lit>], aiger_lit: u64, line: usize) -> Result<Lit, ParseAigerError> {
-    let var = (aiger_lit / 2) as usize;
-    if var >= map.len() {
-        return Err(ParseAigerError::new(
-            line,
-            format!("literal {aiger_lit} exceeds M"),
-        ));
+/// AIGER variable to literal, for the variables the text defines.
+///
+/// The header's `M` is untrusted, so it never sizes an allocation: the
+/// dense table stops at half the text length (each definition takes at
+/// least two bytes) and any variable above that lands in a map. A
+/// well-formed file numbers its variables densely and never uses the map.
+struct VarMap {
+    m: u64,
+    dense: Vec<Option<Lit>>,
+    sparse: HashMap<u64, Lit>,
+}
+
+impl VarMap {
+    fn new(m: u64, text_len: usize) -> VarMap {
+        let len = m.min(text_len as u64 / 2) as usize + 1;
+        let mut dense = vec![None; len];
+        dense[0] = Some(Lit::FALSE);
+        VarMap {
+            m,
+            dense,
+            sparse: HashMap::new(),
+        }
     }
-    let base = map[var].ok_or_else(|| {
-        ParseAigerError::new(line, format!("literal {aiger_lit} used before definition"))
-    })?;
-    Ok(base.xor_complement(aiger_lit % 2 == 1))
+
+    fn define(&mut self, var: u64, lit: Lit, line: usize) -> Result<(), ParseAigerError> {
+        let dense = usize::try_from(var)
+            .ok()
+            .and_then(|v| self.dense.get_mut(v));
+        let fresh = match dense {
+            Some(slot) => slot.replace(lit).is_none(),
+            None => self.sparse.insert(var, lit).is_none(),
+        };
+        if fresh {
+            Ok(())
+        } else {
+            Err(ParseAigerError::new(
+                line,
+                format!("variable {var} redefined"),
+            ))
+        }
+    }
+
+    fn resolve(&self, aiger_lit: u64, line: usize) -> Result<Lit, ParseAigerError> {
+        let var = aiger_lit / 2;
+        if var > self.m {
+            return Err(ParseAigerError::new(
+                line,
+                format!("literal {aiger_lit} exceeds M"),
+            ));
+        }
+        let dense = usize::try_from(var).ok().and_then(|v| self.dense.get(v));
+        let base = match dense {
+            Some(slot) => *slot,
+            None => self.sparse.get(&var).copied(),
+        };
+        let base = base.ok_or_else(|| {
+            ParseAigerError::new(line, format!("literal {aiger_lit} used before definition"))
+        })?;
+        Ok(base.xor_complement(aiger_lit % 2 == 1))
+    }
 }
 
 /// Serializes an [`Aig`] to ASCII AIGER text (combinational: all state has
@@ -297,6 +331,31 @@ mod tests {
         assert!(parse("aig 3 2 0 1 1\n").is_err());
         assert!(parse("aag 3 2 0 1\n").is_err());
         assert!(parse("aag 1 2 0 0 0\n2\n4\n").is_err());
+    }
+
+    #[test]
+    fn huge_header_m_allocates_only_what_the_text_defines() {
+        // M = 2^40 once sized an 8 TiB table up front and aborted.
+        let aig = parse("aag 1099511627776 1 0 0 0\n2\n").expect("parse");
+        assert_eq!(aig.inputs().len(), 1);
+        assert!(aig.outputs().is_empty());
+        // A legal sparse variable far above the text's length still parses.
+        let aig = parse("aag 1099511627776 1 0 1 0\n2199023255552\n2199023255553\n")
+            .expect("sparse parse");
+        assert_eq!(aig.evaluate_outputs(&[false]), vec![true]);
+        let err = parse("aag 1099511627776 2 0 0 0\n2199023255552\n2199023255552\n").unwrap_err();
+        assert!(err.message.contains("redefined"), "{err}");
+    }
+
+    #[test]
+    fn rejects_header_counts_that_overflow() {
+        // I + L + A wraps to 0 in u64 arithmetic; it must not pass as <= M.
+        let err = parse("aag 5 18446744073709551615 1 0 0\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("M smaller than I+L+A"), "{err}");
+        // A huge output count is bounded by the lines actually present.
+        let err = parse("aag 1 0 0 18446744073709551615 0\n0\n").unwrap_err();
+        assert!(err.message.contains("truncated output section"), "{err}");
     }
 
     #[test]
