@@ -17,6 +17,7 @@
 //! into a [`MetricsRecorder`], bumping the worker's heartbeat (what the
 //! watchdog reads), and emitting job-tagged `progress` frames.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -52,6 +53,7 @@ pub struct LoadedInstance {
 /// client-safe strings (they become `reject` frames with
 /// `reason: "invalid"`).
 pub fn load_instance(req: &SolveRequest) -> Result<LoadedInstance, String> {
+    // An inline payload (up to the frame cap) is parsed where it lies.
     let (text, format) = match &req.source {
         JobSource::Path(path) => {
             let text =
@@ -59,9 +61,9 @@ pub fn load_instance(req: &SolveRequest) -> Result<LoadedInstance, String> {
             let format = Format::from_path(path).ok_or_else(|| {
                 format!("'{path}': unrecognized extension (use .bench, .aag or .cnf)")
             })?;
-            (text, format)
+            (Cow::Owned(text), format)
         }
-        JobSource::Inline { format, text } => (text.clone(), *format),
+        JobSource::Inline { format, text } => (Cow::Borrowed(text.as_str()), *format),
     };
     let (aig, objective) = load(format, &text, req.output.as_deref(), req.negate)?;
     Ok(LoadedInstance {

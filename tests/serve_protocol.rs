@@ -148,6 +148,24 @@ fn malformed_lines_get_structured_errors_and_daemon_survives() {
     assert_eq!(d.eof_and_wait(), 0);
 }
 
+/// This 40-byte AIGER payload claims 2^40 variables in its header. The
+/// reader once sized its variable table from that count and aborted the
+/// daemon, so the job sent after it was never answered.
+#[test]
+fn huge_aiger_header_is_answered_and_the_next_job_solved() {
+    let mut d = Daemon::spawn(&["--stdin"]);
+    d.send(
+        r#"{"type":"solve","id":"x","format":"aiger","source":"aag 1099511627776 1 0 0 0\n2\n"}"#,
+    );
+    d.send(&solve_frame("healthy"));
+    let answer = d.expect_line("\"id\": \"x\"", Duration::from_secs(30));
+    assert!(answer.contains("\"type\": \"reject\""), "{answer}");
+    let result = d.expect_line("\"type\": \"result\"", Duration::from_secs(30));
+    assert!(result.contains("\"id\": \"healthy\""), "{result}");
+    assert!(result.contains("\"status\": \"sat\""), "{result}");
+    assert_eq!(d.eof_and_wait(), 0);
+}
+
 #[test]
 fn status_and_cancel_of_unknown_id() {
     let mut d = Daemon::spawn(&["--stdin", "--workers", "3", "--queue", "7"]);
