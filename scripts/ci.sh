@@ -28,12 +28,14 @@ run_kernel_parity() {
     # The shared search kernel must stay dependency-light: it has to build
     # with no optional features pulled in by sibling crates.
     cargo build -p csat-search --no-default-features
-    # And behavior-parity across backends: a 300-instance seed-0 sweep of
-    # the quick oracle matrix (circuit J-node, full paper config, CNF on
-    # the Tseitin encoding) — all of which now run on the kernel — must
-    # report zero disagreements.
+    # And behavior-parity across backends: a 300-instance sweep of the
+    # quick oracle matrix (circuit J-node, full paper config, CNF on the
+    # Tseitin encoding) — all of which now run on the kernel — must report
+    # zero disagreements. Instance seeds are mix(seed, i), so a seed-0
+    # sweep would repeat fuzz-smoke's 200 instances; base seed 1 makes
+    # these 300 instances of its own.
     cargo run --release --bin csat-fuzz -- \
-        --seed 0 --iters 300 --matrix quick --corpus-dir fuzz/corpus
+        --seed 1 --iters 300 --matrix quick --corpus-dir fuzz/corpus
 }
 run_incremental() {
     # Incremental-session differential: 300 seed-0 random trajectories of
