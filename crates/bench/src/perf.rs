@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use csat_core::{Budget, Session, Solver, SolverOptions};
+use csat_core::{Budget, Solver, SolverOptions};
 use csat_netlist::{tseitin, Aig, Lit};
 use csat_prep::{PrepLevel, PrepPipeline};
 use csat_sim::{find_correlations, Relation, SimulationOptions};
@@ -33,9 +33,10 @@ pub enum SolverKind {
     CircuitJnode,
     /// The ZChaff-class CNF baseline on the Tseitin encoding.
     Cnf,
-    /// The circuit solver driven through one incremental [`Session`] over
-    /// the workload's whole SAT-sweeping candidate sequence: learned
-    /// clauses, VSIDS activities and saved phases carry across checks.
+    /// One incremental circuit [`Solver`] over the workload's whole
+    /// SAT-sweeping candidate sequence, with the between-solve housekeeping
+    /// before each check: learned clauses, VSIDS activities and saved
+    /// phases carry across checks.
     SweepSession,
     /// The same candidate sequence with a fresh [`Solver`] per candidate —
     /// the pre-session baseline the sweep-session row is read against
@@ -346,13 +347,14 @@ fn run_once(spec: &FamilySpec) -> Totals {
                 SolverKind::SweepSession => {
                     // Candidate discovery is shared setup, not solve time.
                     let checks = sweep_checks(&w.aig);
-                    let mut session = Session::new(w.aig.clone(), SolverOptions::default());
+                    let mut solver = Solver::new(&w.aig, SolverOptions::default());
                     let start = Instant::now();
                     for chk in &checks {
-                        let _ = session.solve_under(chk, &budget, &mut NoOpObserver);
+                        solver.simplify(&mut NoOpObserver);
+                        let _ = solver.solve_under(chk, &budget, &mut NoOpObserver);
                     }
                     totals.wall_s += start.elapsed().as_secs_f64();
-                    let stats = session.stats();
+                    let stats = solver.stats();
                     totals.conflicts += stats.conflicts;
                     totals.propagations += stats.propagations;
                     totals.decisions += stats.decisions;

@@ -37,10 +37,8 @@
 #![warn(missing_docs)]
 
 pub mod proof;
-mod session;
 mod solver;
 
-pub use session::Session;
 pub use solver::{
     Budget, ClauseActivity, Interrupt, LitOutOfRange, ReductionPolicy, RestartPolicy,
     SearchOptions, SearchStats, Solver, SolverOptions, SolverOptionsBuilder, Stats, SubVerdict,

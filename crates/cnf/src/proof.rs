@@ -2,38 +2,16 @@
 //!
 //! With logging enabled ([`Solver::start_proof`](crate::Solver::start_proof)),
 //! every learned clause is recorded in derivation order. [`verify_unsat`]
-//! replays the log against the original formula with a simple
-//! unit-propagation engine: each logged clause must be *RUP* (asserting its
+//! replays the log against the original formula on the kernel's
+//! [`RupChecker`]: each logged clause must be *RUP* (asserting its
 //! negation and propagating yields a conflict), and the log must end in a
 //! root-level contradiction. This is the same check DRUP checkers perform,
 //! minus deletion tracking.
 
-use std::error::Error;
-use std::fmt;
-
 use csat_netlist::cnf::{Cnf, Lit};
+use csat_search::RupChecker;
 
-/// Why a proof failed to check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProofError {
-    /// Index of the offending clause in the log, or `usize::MAX` for the
-    /// final contradiction check.
-    pub step: usize,
-    /// Description of the failure.
-    pub message: String,
-}
-
-impl fmt::Display for ProofError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "proof check failed at step {}: {}",
-            self.step, self.message
-        )
-    }
-}
-
-impl Error for ProofError {}
+pub use csat_search::ProofError;
 
 /// Verifies that `proof` derives unsatisfiability of `cnf`.
 ///
@@ -41,125 +19,9 @@ impl Error for ProofError {}
 ///
 /// Returns a [`ProofError`] naming the first clause that is not implied by
 /// reverse unit propagation, or the final step when no contradiction is
-/// reached.
+/// reached (the empty clause is not RUP).
 pub fn verify_unsat(cnf: &Cnf, proof: &[Vec<Lit>]) -> Result<(), ProofError> {
-    let mut checker = Checker::new(cnf);
-    for (step, clause) in proof.iter().enumerate() {
-        if !checker.is_rup(clause) {
-            return Err(ProofError {
-                step,
-                message: format!("clause {clause:?} is not implied by unit propagation"),
-            });
-        }
-        checker.add_clause(clause.clone());
-    }
-    // The formula plus the derived clauses must now be propagation-
-    // contradictory (the empty clause is RUP).
-    if !checker.is_rup(&[]) {
-        return Err(ProofError {
-            step: usize::MAX,
-            message: "proof does not end in a contradiction".to_string(),
-        });
-    }
-    Ok(())
-}
-
-const UNDEF: u8 = 2;
-
-struct Checker {
-    clauses: Vec<Vec<Lit>>,
-    values: Vec<u8>,
-    trail: Vec<Lit>,
-}
-
-impl Checker {
-    fn new(cnf: &Cnf) -> Checker {
-        Checker {
-            clauses: cnf.clauses().to_vec(),
-            values: vec![UNDEF; cnf.num_vars()],
-            trail: Vec::new(),
-        }
-    }
-
-    fn add_clause(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
-    }
-
-    fn value(&self, lit: Lit) -> u8 {
-        let v = self.values[lit.var().index()];
-        if v == UNDEF {
-            UNDEF
-        } else {
-            v ^ lit.is_negative() as u8
-        }
-    }
-
-    fn assign(&mut self, lit: Lit) {
-        self.values[lit.var().index()] = !lit.is_negative() as u8;
-        self.trail.push(lit);
-    }
-
-    fn is_rup(&mut self, clause: &[Lit]) -> bool {
-        debug_assert!(self.trail.is_empty());
-        let mut conflict = false;
-        for &l in clause {
-            match self.value(!l) {
-                0 => {
-                    conflict = true;
-                    break;
-                }
-                1 => {}
-                _ => self.assign(!l),
-            }
-        }
-        if !conflict {
-            conflict = self.propagate_to_conflict();
-        }
-        for &l in &self.trail {
-            self.values[l.var().index()] = UNDEF;
-        }
-        self.trail.clear();
-        conflict
-    }
-
-    fn propagate_to_conflict(&mut self) -> bool {
-        loop {
-            let mut changed = false;
-            for ci in 0..self.clauses.len() {
-                let mut unassigned: Option<Lit> = None;
-                let mut satisfied = false;
-                let mut free = 0;
-                for k in 0..self.clauses[ci].len() {
-                    let l = self.clauses[ci][k];
-                    match self.value(l) {
-                        1 => {
-                            satisfied = true;
-                            break;
-                        }
-                        UNDEF => {
-                            free += 1;
-                            unassigned = Some(l);
-                        }
-                        _ => {}
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                match free {
-                    0 => return true,
-                    1 => {
-                        self.assign(unassigned.expect("free literal"));
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                return false;
-            }
-        }
-    }
+    RupChecker::new(cnf.num_vars(), cnf.clauses().to_vec()).verify(proof, &[])
 }
 
 #[cfg(test)]

@@ -328,19 +328,18 @@ where
 }
 
 /// Rebuilds a solver whose internal state may have been poisoned by a
-/// panic mid-solve. Correlations are re-installed; previously recorded
-/// explicit cores are re-added — unless proof logging is active, in which
-/// case the proof restarts from scratch so the log stays a consistent RUP
-/// derivation for the rebuilt (clause-free) solver.
-fn recover_solver<'a>(
-    solver: &mut Solver<'a>,
+/// panic mid-solve, over the same circuit (a borrowed one is not copied).
+/// Correlations are re-installed; previously recorded explicit cores are
+/// re-added — unless proof logging is active, in which case the proof
+/// restarts from scratch so the log stays a consistent RUP derivation for
+/// the rebuilt (clause-free) solver.
+fn recover_solver(
+    solver: &mut Solver<'_>,
     correlations: &CorrelationResult,
     recorded: &[Vec<Lit>],
 ) {
-    let aig = solver.aig();
-    let options = solver.options();
     let proof_was_active = solver.proof_active();
-    *solver = Solver::new(aig, options);
+    solver.rebuild();
     solver.set_correlations(correlations);
     if proof_was_active {
         solver.start_proof();

@@ -45,7 +45,6 @@ pub mod explicit;
 pub mod implication;
 mod options;
 pub mod proof;
-mod session;
 mod solver;
 
 pub use explicit::{CorrelationMode, ExplicitOptions, ExplicitReport, SubproblemOrdering};
@@ -53,7 +52,6 @@ pub use options::{
     Budget, CancelToken, ClauseActivity, Interrupt, ReductionPolicy, RestartPolicy, SearchOptions,
     SearchStats, SolverOptions, SolverOptionsBuilder, Stats, SubVerdict, Verdict,
 };
-pub use session::Session;
 pub use solver::{LitOutOfRange, Solver};
 
 /// Checks a SAT model against the circuit itself.

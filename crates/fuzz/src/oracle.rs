@@ -587,6 +587,7 @@ fn run_oracle_inner(
                     probe_conflicts: 500,
                 },
                 budget,
+                |_, _| {},
             );
             Some(par_outcome(oracle.name, instance, outcome))
         }

@@ -1,13 +1,14 @@
 //! Incremental-trajectory differential fuzzing.
 //!
-//! The session API ([`csat_core::Session`] / [`csat_cnf::Session`]) has
-//! exactly one correctness contract: at every solve point, the verdict
-//! must equal what a fresh monolithic solver says about the *equivalent
-//! batch instance* — the formula as grown so far under the assumptions
-//! currently in scope. [`check_trajectory`] generates a seeded random
-//! interleaving of grow / push / assume / pop / solve steps, replays it on
-//! one long-lived session, and rebuilds that batch instance from scratch
-//! at every solve point:
+//! The incremental solver API ([`csat_core::Solver`] /
+//! [`csat_cnf::Solver`] grown, scoped and re-solved) has exactly one
+//! correctness contract: at every solve point, the verdict must equal what
+//! a fresh monolithic solver says about the *equivalent batch instance* —
+//! the formula as grown so far under the assumptions currently in scope.
+//! [`check_trajectory`] generates a seeded random interleaving of grow /
+//! push / assume / pop / solve steps, replays it on one long-lived solver
+//! (running the between-solve housekeeping before every solve), and
+//! rebuilds that batch instance from scratch at every solve point:
 //!
 //! * **verdicts** — SAT from one side and UNSAT from the other is a
 //!   disagreement (budget-limited aborts abstain);
@@ -32,9 +33,9 @@ use rand::{Rng, SeedableRng};
 /// Which backend a trajectory drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrajectoryKind {
-    /// A [`csat_core::Session`] growing an AIG gate by gate.
+    /// A [`csat_core::Solver`] growing an AIG gate by gate.
     Circuit,
-    /// A [`csat_cnf::Session`] growing a formula clause by clause.
+    /// A [`csat_cnf::Solver`] growing a formula clause by clause.
     Cnf,
 }
 
@@ -116,7 +117,7 @@ fn circuit_trajectory(seed: u64, budget: &Budget, obs: &mut dyn Observer) -> Tra
     }
     let initial_gates = 6 + rng.gen_range(0..20);
     grow_gates(&mut aig, &mut rng, initial_gates);
-    let mut session = csat_core::Session::new(aig, options);
+    let mut session = csat_core::Solver::owned(aig, options);
 
     let steps = 8 + rng.gen_range(0..10);
     for step in 0..=steps {
@@ -152,6 +153,7 @@ fn circuit_trajectory(seed: u64, budget: &Budget, obs: &mut dyn Observer) -> Tra
                 if rng.gen_bool(0.3) {
                     extra.push(random_lit(session.aig(), &mut rng));
                 }
+                session.simplify(&mut *obs);
                 let verdict = session.solve_under(&extra, budget, &mut *obs);
 
                 let mut active: Vec<Lit> = session.assumptions().to_vec();
@@ -276,7 +278,7 @@ fn cnf_trajectory(seed: u64, budget: &Budget, obs: &mut dyn Observer) -> Traject
         cnf.add_clause(c.clone());
         clauses.push(c);
     }
-    let mut session = csat_cnf::Session::new(&cnf, options);
+    let mut session = csat_cnf::Solver::new(&cnf, options);
 
     let steps = 8 + rng.gen_range(0..10);
     for step in 0..=steps {
@@ -319,6 +321,7 @@ fn cnf_trajectory(seed: u64, budget: &Budget, obs: &mut dyn Observer) -> Traject
                 if rng.gen_bool(0.3) {
                     extra.push(random_cnf_lit(num_vars, &mut rng));
                 }
+                session.simplify(&mut *obs);
                 let verdict = session.solve_under(&extra, budget, &mut *obs);
 
                 let mut active: Vec<CnfLit> = session.assumptions().to_vec();

@@ -52,7 +52,6 @@ pub mod stats;
 pub mod topo;
 pub mod tseitin;
 pub mod two_level;
-pub mod unroll;
 
 pub use aig::{Aig, Lit, Node, NodeId};
 pub use aiger::ParseAigerError;

@@ -1,28 +1,58 @@
-//! Adapters plugging the circuit and CNF backends into the portfolio
-//! and cube-and-conquer schedulers.
+//! One adapter per backend, plugging it into both the portfolio and the
+//! cube-and-conquer scheduler.
 //!
 //! Both backends expose the same kernel surface (`solve_under`, clause
 //! export/ingest, VSIDS activities), so the adapters are thin: they fix
 //! the assumption set (the circuit objective rides along on every call),
 //! translate [`SubVerdict`] into the scheduler's [`JobVerdict`] and
-//! forward the clause-exchange hooks.
+//! forward the clause-exchange hooks. A portfolio round is one plain
+//! `solve_under`; a cube job first runs the solver's between-solve
+//! housekeeping (`simplify`), as every incremental caller does.
 
-use csat_netlist::cnf::{Cnf, Lit as CnfLit, Var};
-use csat_netlist::{Aig, Lit as AigLit, NodeId};
+use csat_netlist::cnf::{Lit as CnfLit, Var};
+use csat_netlist::{Lit as AigLit, NodeId};
 use csat_telemetry::Observer;
-use csat_types::{Budget, SearchStats};
+use csat_types::{Budget, SearchStats, SubVerdict};
 
 use crate::cubes::CubeSolver;
 use crate::portfolio::{JobVerdict, PortfolioWorker};
 
-/// One circuit-backend portfolio member: a [`csat_core::Solver`] plus
-/// the objective literal it must justify.
+/// The scheduler's view of a verdict. A failed-assumption core for which
+/// `refutes_instance` holds never used a cube literal, so it refutes the
+/// whole instance, not just one cube.
+fn job_verdict<L>(verdict: SubVerdict<L>, refutes_instance: impl Fn(&[L]) -> bool) -> JobVerdict {
+    match verdict {
+        SubVerdict::Sat(model) => JobVerdict::Sat(model),
+        SubVerdict::Unsat => JobVerdict::Unsat,
+        SubVerdict::UnsatUnderAssumptions(core) if refutes_instance(&core) => JobVerdict::Unsat,
+        SubVerdict::UnsatUnderAssumptions(_) => JobVerdict::UnsatUnderAssumptions,
+        SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
+    }
+}
+
+/// The circuit backend: a [`csat_core::Solver`] plus the objective literal
+/// it must justify. Cloning it for a cube worker shares a borrowed
+/// circuit instead of copying it.
+#[derive(Clone)]
 pub struct CircuitWorker<'a> {
     /// The underlying circuit solver (already diversified and, when the
     /// caller ran simulation, carrying correlations).
     pub solver: csat_core::Solver<'a>,
-    /// The objective asserted on every round.
+    /// The objective asserted on every round, probe and cube.
     pub objective: AigLit,
+}
+
+impl CircuitWorker<'_> {
+    fn solve(&mut self, cube: &[AigLit], budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
+        let objective = self.objective;
+        let verdict = if cube.is_empty() {
+            self.solver.solve_under(&[objective], budget, obs)
+        } else {
+            self.solver
+                .solve_under(&[&[objective], cube].concat(), budget, obs)
+        };
+        job_verdict(verdict, |core| core.iter().all(|&l| l == objective))
+    }
 }
 
 impl PortfolioWorker for CircuitWorker<'_> {
@@ -44,14 +74,7 @@ impl PortfolioWorker for CircuitWorker<'_> {
     }
 
     fn solve_round(&mut self, budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
-        match self.solver.solve_under(&[self.objective], budget, obs) {
-            csat_core::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            csat_core::SubVerdict::Unsat => JobVerdict::Unsat,
-            // The objective is the only assumption; refuting it refutes
-            // the instance.
-            csat_core::SubVerdict::UnsatUnderAssumptions(_) => JobVerdict::Unsat,
-            csat_core::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
+        self.solve(&[], budget, obs)
     }
 
     fn stats(&self) -> SearchStats {
@@ -59,10 +82,47 @@ impl PortfolioWorker for CircuitWorker<'_> {
     }
 }
 
-/// One CNF-backend portfolio member.
+impl CubeSolver for CircuitWorker<'_> {
+    type Lit = AigLit;
+
+    fn make_lit(&self, var: usize, negated: bool) -> AigLit {
+        AigLit::new(NodeId::from_index(var), negated)
+    }
+
+    fn probe(&mut self, budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
+        self.solve_cube(&[], budget, obs)
+    }
+
+    fn split_vars(&self, k: usize) -> Vec<usize> {
+        self.solver.top_active_vars(k)
+    }
+
+    fn solve_cube(
+        &mut self,
+        cube: &[AigLit],
+        budget: &Budget,
+        obs: &mut dyn Observer,
+    ) -> JobVerdict {
+        self.solver.simplify(obs);
+        self.solve(cube, budget, obs)
+    }
+
+    fn stats(&self) -> SearchStats {
+        *self.solver.stats()
+    }
+}
+
+/// The CNF backend: a [`csat_cnf::Solver`].
+#[derive(Clone)]
 pub struct CnfWorker {
     /// The underlying CNF solver (already diversified).
     pub solver: csat_cnf::Solver,
+}
+
+impl CnfWorker {
+    fn solve(&mut self, cube: &[CnfLit], budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
+        job_verdict(self.solver.solve_under(cube, budget, obs), <[_]>::is_empty)
+    }
 }
 
 impl PortfolioWorker for CnfWorker {
@@ -82,14 +142,7 @@ impl PortfolioWorker for CnfWorker {
     }
 
     fn solve_round(&mut self, budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
-        match self.solver.solve_under(&[], budget, obs) {
-            csat_cnf::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            // No assumptions, so both UNSAT flavors are global.
-            csat_cnf::SubVerdict::Unsat | csat_cnf::SubVerdict::UnsatUnderAssumptions(_) => {
-                JobVerdict::Unsat
-            }
-            csat_cnf::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
+        self.solve(&[], budget, obs)
     }
 
     fn stats(&self) -> SearchStats {
@@ -97,94 +150,7 @@ impl PortfolioWorker for CnfWorker {
     }
 }
 
-/// Circuit-backend cube solver: a [`csat_core::Session`] (owning its
-/// circuit, hence clonable into workers) plus the objective literal.
-#[derive(Clone)]
-pub struct CircuitCubeSolver {
-    /// The underlying incremental session.
-    pub session: csat_core::Session,
-    /// The objective asserted on the probe and on every cube.
-    pub objective: AigLit,
-}
-
-impl CircuitCubeSolver {
-    /// A cube solver over (a clone of) `aig`, asserting `objective`.
-    pub fn new(aig: &Aig, objective: AigLit, options: csat_core::SolverOptions) -> Self {
-        CircuitCubeSolver {
-            session: csat_core::Session::new(aig.clone(), options),
-            objective,
-        }
-    }
-}
-
-impl CubeSolver for CircuitCubeSolver {
-    type Lit = AigLit;
-
-    fn make_lit(&self, var: usize, negated: bool) -> AigLit {
-        AigLit::new(NodeId::from_index(var), negated)
-    }
-
-    fn probe(&mut self, budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
-        match self.session.solve_under(&[self.objective], budget, obs) {
-            csat_core::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            csat_core::SubVerdict::Unsat => JobVerdict::Unsat,
-            // Only the objective was assumed.
-            csat_core::SubVerdict::UnsatUnderAssumptions(_) => JobVerdict::Unsat,
-            csat_core::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
-    }
-
-    fn split_vars(&self, k: usize) -> Vec<usize> {
-        self.session.top_active_vars(k)
-    }
-
-    fn solve_cube(
-        &mut self,
-        cube: &[AigLit],
-        budget: &Budget,
-        obs: &mut dyn Observer,
-    ) -> JobVerdict {
-        let mut assumptions = Vec::with_capacity(cube.len() + 1);
-        assumptions.push(self.objective);
-        assumptions.extend_from_slice(cube);
-        match self.session.solve_under(&assumptions, budget, obs) {
-            csat_core::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            csat_core::SubVerdict::Unsat => JobVerdict::Unsat,
-            csat_core::SubVerdict::UnsatUnderAssumptions(core) => {
-                // A core that never mentions the cube refutes the
-                // objective alone — a global UNSAT, not just this cube's.
-                if core.iter().all(|&l| l == self.objective) {
-                    JobVerdict::Unsat
-                } else {
-                    JobVerdict::UnsatUnderAssumptions
-                }
-            }
-            csat_core::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
-    }
-
-    fn stats(&self) -> SearchStats {
-        *self.session.stats()
-    }
-}
-
-/// CNF-backend cube solver over a [`csat_cnf::Session`].
-#[derive(Clone)]
-pub struct CnfCubeSolver {
-    /// The underlying incremental session.
-    pub session: csat_cnf::Session,
-}
-
-impl CnfCubeSolver {
-    /// A cube solver over `cnf`.
-    pub fn new(cnf: &Cnf, options: csat_cnf::SolverOptions) -> Self {
-        CnfCubeSolver {
-            session: csat_cnf::Session::new(cnf, options),
-        }
-    }
-}
-
-impl CubeSolver for CnfCubeSolver {
+impl CubeSolver for CnfWorker {
     type Lit = CnfLit;
 
     fn make_lit(&self, var: usize, negated: bool) -> CnfLit {
@@ -192,17 +158,11 @@ impl CubeSolver for CnfCubeSolver {
     }
 
     fn probe(&mut self, budget: &Budget, obs: &mut dyn Observer) -> JobVerdict {
-        match self.session.solve_under(&[], budget, obs) {
-            csat_cnf::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            csat_cnf::SubVerdict::Unsat | csat_cnf::SubVerdict::UnsatUnderAssumptions(_) => {
-                JobVerdict::Unsat
-            }
-            csat_cnf::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
+        self.solve_cube(&[], budget, obs)
     }
 
     fn split_vars(&self, k: usize) -> Vec<usize> {
-        self.session.top_active_vars(k)
+        self.solver.top_active_vars(k)
     }
 
     fn solve_cube(
@@ -211,21 +171,11 @@ impl CubeSolver for CnfCubeSolver {
         budget: &Budget,
         obs: &mut dyn Observer,
     ) -> JobVerdict {
-        match self.session.solve_under(cube, budget, obs) {
-            csat_cnf::SubVerdict::Sat(model) => JobVerdict::Sat(model),
-            csat_cnf::SubVerdict::Unsat => JobVerdict::Unsat,
-            csat_cnf::SubVerdict::UnsatUnderAssumptions(core) => {
-                if core.is_empty() {
-                    JobVerdict::Unsat
-                } else {
-                    JobVerdict::UnsatUnderAssumptions
-                }
-            }
-            csat_cnf::SubVerdict::Aborted(reason) => JobVerdict::Aborted(reason),
-        }
+        self.solver.simplify(obs);
+        self.solve(cube, budget, obs)
     }
 
     fn stats(&self) -> SearchStats {
-        *self.session.stats()
+        *self.solver.stats()
     }
 }

@@ -5,7 +5,7 @@
 //! first warms the VSIDS activities (and may settle the instance
 //! outright), then the `k` most active unassigned variables become the
 //! split set — every one of the `2^k` sign combinations is one subcube.
-//! Each worker clones the probed session (inheriting its learned-clause
+//! Each worker clones the probed solver (inheriting its learned-clause
 //! database) and owns a deque of cubes; owners pop from the back while
 //! idle workers steal from the front of the fullest peer deque, the
 //! classic work-stealing arrangement that keeps an owner's hot end and a

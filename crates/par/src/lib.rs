@@ -13,7 +13,7 @@
 //! * **Cube-and-conquer** ([`run_cubes`]): a bounded probe solve warms
 //!   VSIDS activities, the top-`k` active variables split the instance
 //!   into `2^k` subcubes, and workers conquer them as assumption jobs on
-//!   cloned incremental sessions, stealing cubes from each other when
+//!   clones of the probed solver, stealing cubes from each other when
 //!   their own deque runs dry.
 //!
 //! Determinism: each worker is individually deterministic, but *which*
@@ -53,7 +53,7 @@ mod diversify;
 mod exchange;
 mod portfolio;
 
-pub use backends::{CircuitCubeSolver, CircuitWorker, CnfCubeSolver, CnfWorker};
+pub use backends::{CircuitWorker, CnfWorker};
 pub use cubes::{run_cubes, CubeOptions, CubeSolver};
 pub use diversify::diversify;
 pub use exchange::Exchange;
@@ -64,7 +64,7 @@ pub use portfolio::{
 
 use csat_netlist::cnf::Cnf;
 use csat_netlist::{Aig, Lit};
-use csat_types::{Budget, Verdict};
+use csat_types::Budget;
 
 /// Which parallel scheduler a multi-threaded solve uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,6 +138,11 @@ pub fn solve_cnf_portfolio(
 }
 
 /// Cube-and-conquer solve of a circuit objective on `threads` workers.
+///
+/// `configure` sees the base solver before the probe (the hook to install
+/// simulation correlations), with the same signature as in
+/// [`solve_aig_portfolio`]; it is called once, with index 0. Every cube
+/// worker clones the probed base, sharing `aig` rather than copying it.
 pub fn solve_aig_cubes(
     aig: &Aig,
     objective: Lit,
@@ -145,9 +150,12 @@ pub fn solve_aig_cubes(
     threads: usize,
     options: &CubeOptions,
     budget: &Budget,
+    mut configure: impl FnMut(usize, &mut csat_core::Solver<'_>),
 ) -> ParOutcome {
+    let mut solver = csat_core::Solver::new(aig, base);
+    configure(0, &mut solver);
     run_cubes(
-        CircuitCubeSolver::new(aig, objective, base),
+        CircuitWorker { solver, objective },
         threads.max(1),
         options,
         budget,
@@ -163,15 +171,11 @@ pub fn solve_cnf_cubes(
     budget: &Budget,
 ) -> ParOutcome {
     run_cubes(
-        CnfCubeSolver::new(cnf, base),
+        CnfWorker {
+            solver: csat_cnf::Solver::new(cnf, base),
+        },
         threads.max(1),
         options,
         budget,
     )
-}
-
-/// Convenience: the verdict of a parallel solve as the caller-facing
-/// [`Verdict`] (what the sequential entry points return).
-pub fn verdict_of(outcome: &ParOutcome) -> &Verdict {
-    &outcome.verdict
 }

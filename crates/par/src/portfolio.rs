@@ -55,9 +55,9 @@ pub enum WorkerOutcome {
 
 /// One backend instance raced by [`run_portfolio`].
 ///
-/// Implemented by the circuit and CNF adapters in [`crate::backends`];
-/// tests implement it directly to exercise the race machinery with
-/// scripted workers.
+/// Implemented by [`CircuitWorker`](crate::CircuitWorker) and
+/// [`CnfWorker`](crate::CnfWorker); tests implement it directly to
+/// exercise the race machinery with scripted workers.
 pub trait PortfolioWorker: Send {
     /// The literal type clauses are exchanged in.
     type Lit: Send + Copy;

@@ -40,8 +40,8 @@
 use csat_core::{explicit, ExplicitOptions, ExplicitReport, Solver, SolverOptions};
 use csat_netlist::{aiger, bench, cnf::Cnf, tseitin, two_level, Aig, Lit};
 use csat_par::{
-    run_cubes, solve_aig_portfolio, solve_cnf_cubes, solve_cnf_portfolio, CircuitCubeSolver,
-    CubeOptions, ParMode, ParOutcome, PortfolioOptions,
+    solve_aig_cubes, solve_aig_portfolio, solve_cnf_cubes, solve_cnf_portfolio, CubeOptions,
+    ParMode, ParOutcome, PortfolioOptions,
 };
 use csat_prep::{PrepLevel, PrepOptions, PrepPipeline, PrepStats};
 use csat_sim::{find_correlations_observed, CorrelationResult, SimulationOptions};
@@ -349,6 +349,11 @@ fn solve_circuit<O: Observer + ?Sized>(
         let correlations = request
             .implicit
             .then(|| find_correlations_observed(aig, &request.simulation, obs));
+        let configure = |_: usize, solver: &mut Solver<'_>| {
+            if let Some(c) = &correlations {
+                solver.set_correlations(c);
+            }
+        };
         let outcome = match request.par_mode {
             ParMode::Portfolio => solve_aig_portfolio(
                 aig,
@@ -357,19 +362,17 @@ fn solve_circuit<O: Observer + ?Sized>(
                 request.threads,
                 &PortfolioOptions::default(),
                 budget,
-                |_, solver| {
-                    if let Some(c) = &correlations {
-                        solver.set_correlations(c);
-                    }
-                },
+                configure,
             ),
-            ParMode::Cubes => {
-                let mut base = CircuitCubeSolver::new(aig, objective, options);
-                if let Some(c) = &correlations {
-                    base.session.set_correlations(c);
-                }
-                run_cubes(base, request.threads, &CubeOptions::default(), budget)
-            }
+            ParMode::Cubes => solve_aig_cubes(
+                aig,
+                objective,
+                options,
+                request.threads,
+                &CubeOptions::default(),
+                budget,
+                configure,
+            ),
         };
         report.correlations = correlations;
         return parallel_verdict(outcome, report);
@@ -469,6 +472,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Counts `ClausesRetained` events (the recorder's field keeps only
+    /// the last value).
+    #[derive(Default)]
+    struct RetainedEvents(u64);
+
+    impl Observer for RetainedEvents {
+        fn record(&mut self, event: csat_telemetry::SolverEvent) {
+            if let csat_telemetry::SolverEvent::ClausesRetained { .. } = event {
+                self.0 += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn only_incremental_callers_simplify_between_solves() {
+        let base = generators::random_logic(11, 6, 40, 2);
+        let variant = csat_netlist::optimize::restructure_seeded(&base, 0xBEEF);
+        let m = miter::build_fresh(&base, &variant, Default::default());
+        let request = Request::new(&m.aig, m.objective);
+
+        // Defaults: explicit learning's sub-problems and the final search
+        // run on one solver, with no housekeeping in between.
+        let mut events = RetainedEvents::default();
+        let report = solve(&request, &Budget::UNLIMITED, &mut events);
+        assert!(report.verdict.is_unsat());
+        assert!(report.explicit.is_some_and(|e| e.subproblems > 0));
+        assert_eq!(events.0, 0);
+
+        // Prep's sweep is incremental and simplifies before every check.
+        let mut events = RetainedEvents::default();
+        let report = solve(
+            &Request {
+                prep: PrepLevel::Full,
+                ..request
+            },
+            &Budget::UNLIMITED,
+            &mut events,
+        );
+        assert!(report.verdict.is_unsat());
+        assert!(events.0 >= 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    patterns and over counterexample patterns harvested from refuted
 //!    candidates.
 //! 4. **SAT sweeping** — candidates are proven on one incremental
-//!    [`csat_core::Session`] under a per-candidate conflict budget;
+//!    [`csat_core::Solver`] under a per-candidate conflict budget;
 //!    proven-equivalent nodes are rewritten onto their representatives
 //!    and the survivors re-strashed (a final dead-cone sweep included).
 //!
@@ -49,7 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use csat_core::{Session, SolverOptions};
+use csat_core::{Solver, SolverOptions};
 use csat_netlist::{Aig, Lit, Node, NodeId};
 use csat_sim::{find_correlations_observed, Relation, SimulationOptions};
 use csat_telemetry::{NoOpObserver, Observer, SolverEvent};
@@ -100,7 +100,7 @@ pub struct PrepOptions {
     /// Conflict budget per candidate equivalence proof; candidates that
     /// exceed it stay unmerged (clamped to at least 1).
     pub proof_conflicts: u64,
-    /// Solver options for the sweeping session.
+    /// Solver options for the sweeping solver.
     pub solver: SolverOptions,
 }
 
@@ -135,7 +135,7 @@ pub struct PrepStats {
     /// Candidates skipped: the per-candidate budget ran out, or a
     /// previously harvested counterexample already distinguished the pair.
     pub undecided: usize,
-    /// Conflicts spent by the sweeping session.
+    /// Conflicts spent by the sweeping solver.
     pub sweep_conflicts: u64,
     /// Passes completed (strash = 1, prune = 2, sim = 3, sweep = 4).
     pub passes: u32,
@@ -325,7 +325,7 @@ impl PrepPipeline {
 
     /// Runs the pipeline under an outer budget, reporting progress events
     /// ([`SolverEvent::PrepPassCompleted`], [`SolverEvent::NodesMerged`],
-    /// [`SolverEvent::ConesPruned`], plus the simulation's and session's
+    /// [`SolverEvent::ConesPruned`], plus the simulation's and sweep solver's
     /// own events) to `obs`.
     ///
     /// Budget semantics: the budget's cancel token, time, conflict and
@@ -424,7 +424,7 @@ impl PrepPipeline {
     }
 
     /// Passes 3–4: simulation-guided candidate discovery plus SAT-sweep
-    /// verification on one incremental session. Returns `None` when an
+    /// verification on one incremental solver. Returns `None` when an
     /// interrupt fired before any merge was committed (the caller keeps
     /// the pass-2 netlist).
     fn sweep<O: Observer + ?Sized>(
@@ -446,9 +446,10 @@ impl PrepPipeline {
         let mut candidates = correlations.correlations.clone();
         candidates.sort_by_key(|c| c.a.index().max(c.b.index()));
 
-        // Pass 4: prove candidates on one incremental session.
-        let mut session = Session::new(aig.clone(), self.options.solver);
-        session.set_correlations(&correlations);
+        // Pass 4: prove candidates on one incremental solver, borrowing
+        // the netlist.
+        let mut solver = Solver::new(aig, self.options.solver);
+        solver.set_correlations(&correlations);
         let per_candidate = budget_for_candidate(budget, self.options.proof_conflicts);
         let mut proven: Vec<Option<Lit>> = vec![None; aig.len()];
         // Node-value vectors of counterexample patterns harvested from
@@ -464,7 +465,7 @@ impl PrepPipeline {
             if proven[later.index()].is_some() {
                 continue; // already merged into a representative
             }
-            if let Some(reason) = meter.checkpoint(0, session.stats().conflicts, 0, 0) {
+            if let Some(reason) = meter.checkpoint(0, solver.stats().conflicts, 0, 0) {
                 stats.interrupted = Some(reason);
                 break;
             }
@@ -483,7 +484,8 @@ impl PrepPipeline {
             // Prove l == target by refuting both difference orientations.
             let mut outcome = CandidateOutcome::Proven;
             for assumptions in [[l, !target], [!l, target]] {
-                match session.solve_under(&assumptions, &per_candidate, &mut *obs) {
+                solver.simplify(&mut *obs);
+                match solver.solve_under(&assumptions, &per_candidate, &mut *obs) {
                     SubVerdict::Sat(model) => {
                         counterexamples.push(aig.evaluate(&model));
                         outcome = CandidateOutcome::Refuted;
@@ -518,7 +520,7 @@ impl PrepPipeline {
                 }
             }
         }
-        stats.sweep_conflicts = session.stats().conflicts;
+        stats.sweep_conflicts = solver.stats().conflicts;
         obs.record(SolverEvent::NodesMerged {
             nodes: stats.merged as u64,
         });

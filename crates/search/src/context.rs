@@ -270,7 +270,8 @@ pub(crate) fn clause_footprint<L>(len: usize) -> u64 {
 /// Arena-garbage floor below which compaction is not worth the copy.
 const COMPACT_MIN_GARBAGE: usize = 4096;
 
-/// The shared CDCL search state (see the [module docs](self)).
+/// The shared CDCL search state: trail, values, activities, the
+/// learned-clause arena, the restart schedule and the proof log.
 #[derive(Clone, Debug)]
 pub struct SearchContext<L> {
     pub(crate) options: SearchOptions,
@@ -406,17 +407,17 @@ impl<L: SearchLit> SearchContext<L> {
 
     /// Grows the search space by one fresh, unassigned variable and
     /// returns its index — the kernel half of adding a gate or CNF
-    /// variable to a live incremental session.
+    /// variable to a live incremental solver.
     ///
     /// Every per-variable table (values, assignment records, phases,
     /// activities, both watch lists, the analysis stamps and the decision
     /// heap) is extended in place; existing state — the trail, the learned
     /// arena, saved phases and VSIDS activities — is untouched, which is
-    /// exactly what lets a session retain its learning across growth.
+    /// exactly what lets a solver retain its learning across growth.
     /// When the kernel maintains its own decision heap the new variable is
     /// queued immediately.
     ///
-    /// Must be called at decision level 0 (sessions reset to root before
+    /// Must be called at decision level 0 (solvers reset to root before
     /// mutating the instance).
     pub fn add_variable(&mut self) -> usize {
         debug_assert_eq!(self.decision_level(), 0, "grow only at the root level");
@@ -438,7 +439,7 @@ impl<L: SearchLit> SearchContext<L> {
 
     /// Rewinds the propagation queue to the start of the trail, so the
     /// next [`crate::propagate`] replays every standing assignment through
-    /// the constraint set. Sessions call this after appending clauses or
+    /// the constraint set. Solvers call this after appending clauses or
     /// gates mid-life: replaying the level-0 trail through the new
     /// constraints either confirms them (enqueue of an already-true
     /// literal is a no-op), extends the root trail, or surfaces a root
@@ -453,8 +454,8 @@ impl<L: SearchLit> SearchContext<L> {
     /// dropped. Pinned clauses (ingested cores), binaries (their watchers
     /// carry no deletion check by design) and locked clauses (the reason
     /// of a standing assignment) are kept. Must be called at decision
-    /// level 0; sessions run it between solves so retained state does not
-    /// accumulate dead weight.
+    /// level 0; incremental callers run it between solves so retained
+    /// state does not accumulate dead weight.
     pub fn simplify_satisfied_at_root(&mut self) -> u64 {
         debug_assert_eq!(self.decision_level(), 0, "simplify only at the root level");
         let mut dropped = 0u64;

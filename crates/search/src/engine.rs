@@ -21,7 +21,7 @@
 //! the amortized growth of those buffers and the arena itself.
 
 use csat_telemetry::{Observer, SolverEvent};
-use csat_types::{Budget, BudgetMeter, ClauseActivity, Interrupt, ReductionPolicy};
+use csat_types::{Budget, BudgetMeter, ClauseActivity, Interrupt, ReductionPolicy, SubVerdict};
 
 use crate::context::{
     Conflict, LitOutOfRange, Reason, SearchContext, SearchLit, Watcher, BINARY_FLAG, CREF_MASK,
@@ -122,6 +122,17 @@ pub enum SearchResult<L> {
     UnsatUnderAssumptions(Vec<L>),
     /// A budget ran out (or the solve was cancelled) before an answer.
     Aborted(Interrupt),
+}
+
+impl<L> From<SearchResult<L>> for SubVerdict<L> {
+    fn from(result: SearchResult<L>) -> SubVerdict<L> {
+        match result {
+            SearchResult::Sat(model) => SubVerdict::Sat(model),
+            SearchResult::Unsat => SubVerdict::Unsat,
+            SearchResult::UnsatUnderAssumptions(core) => SubVerdict::UnsatUnderAssumptions(core),
+            SearchResult::Aborted(reason) => SubVerdict::Aborted(reason),
+        }
+    }
 }
 
 /// Runs the CDCL search under a set of assumption literals and a resource

@@ -12,9 +12,12 @@
 //!   (AND-gate implication tables vs. problem-clause watch lists), how an
 //!   implication is explained to conflict analysis, and how the next
 //!   decision is picked (justification-frontier VSIDS vs. plain VSIDS).
-//! * [`engine`] — free functions tying them together: [`solve_under`] (the
+//! * the engine — free functions tying them together: [`solve_under`] (the
 //!   conflict/decide loop with assumptions, budgets and telemetry),
 //!   [`propagate`], [`ingest_clause`] and [`backtrack`].
+//! * [`Scopes`] — IPASIR-style scoped assumptions, and [`RupChecker`] —
+//!   the reverse-unit-propagation check of the proof log, each written
+//!   once for both backends.
 //!
 //! Policy — restarts ([`luby`], geometric, the paper's back-jump-average
 //! rule), clause-database reduction (activity or LBD-aware), clause
@@ -37,7 +40,9 @@ mod context;
 mod engine;
 mod heap;
 mod prefetch;
+mod proof;
 mod restart;
+mod scopes;
 
 pub use context::{Conflict, LitOutOfRange, Reason, SearchContext, SearchLit, FALSE, TRUE, UNDEF};
 pub use engine::{
@@ -45,4 +50,6 @@ pub use engine::{
 };
 pub use heap::ActivityHeap;
 pub use prefetch::prefetch_read;
+pub use proof::{ProofError, RupChecker};
 pub use restart::luby;
+pub use scopes::Scopes;

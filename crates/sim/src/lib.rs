@@ -34,7 +34,6 @@
 
 mod correlate;
 mod engine;
-pub mod fault;
 mod parallel;
 
 pub use correlate::{
@@ -42,5 +41,4 @@ pub use correlate::{
     Relation, SimulationOptions,
 };
 pub use engine::{fingerprint, normalized_eq, polarity_mask, SimEngine, SimStats};
-pub use fault::{all_faults, simulate_faults, Fault, FaultCoverage};
 pub use parallel::{fill_random_words, random_input_words, seeded_rng, simulate_words};

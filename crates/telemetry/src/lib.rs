@@ -137,21 +137,21 @@ pub enum SolverEvent {
         /// Equivalence classes alive after refinement.
         classes: u64,
     },
-    /// An incremental session pushed an assumption scope; `depth` is the
+    /// A solver pushed an assumption scope; `depth` is the
     /// scope-stack depth after the push.
     SessionPush {
         /// Scope-stack depth after the push.
         depth: u32,
     },
-    /// An incremental session popped an assumption scope; `depth` is the
+    /// A solver popped an assumption scope; `depth` is the
     /// scope-stack depth after the pop.
     SessionPop {
         /// Scope-stack depth after the pop.
         depth: u32,
     },
-    /// An incremental session is starting a solve with `clauses` learned
-    /// clauses retained from earlier calls (after root-level
-    /// simplification) — the reuse the session API exists to enable.
+    /// An incremental solver simplified at the root before its next solve
+    /// and retains `clauses` learned clauses from earlier calls — the
+    /// reuse incremental solving exists to enable.
     ClausesRetained {
         /// Live learned clauses carried into this solve.
         clauses: u64,

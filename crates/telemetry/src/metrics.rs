@@ -154,12 +154,12 @@ pub struct MetricsRecorder {
     pub sim_patterns: u64,
     /// Equivalence classes alive after the last observed round.
     pub sim_classes: u64,
-    /// Assumption scopes pushed on incremental sessions.
+    /// Assumption scopes pushed on incremental solvers.
     pub session_pushes: u64,
-    /// Assumption scopes popped on incremental sessions.
+    /// Assumption scopes popped on incremental solvers.
     pub session_pops: u64,
-    /// Learned clauses retained at the start of the most recent session
-    /// solve (the incremental-reuse gauge).
+    /// Learned clauses retained at the most recent between-solve
+    /// simplification (the incremental-reuse gauge).
     pub clauses_retained: u64,
     /// Parallel workers started.
     pub workers_started: u64,

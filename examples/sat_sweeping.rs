@@ -2,12 +2,13 @@
 //!
 //! Sweeping shrinks a redundant netlist by merging nodes the solver
 //! proves equivalent. The candidate proofs are a long sequence of closely
-//! related sub-solves over one circuit — exactly the workload the
-//! [`csat::core::Session`] API exists for, and [`csat::prep`] packages
-//! the whole loop (candidate discovery, incremental proving, merging,
-//! re-strashing) as pass 3–4 of its [`PrepPipeline`]: one session keeps
-//! the learned clauses, VSIDS activities and saved phases from every
-//! earlier check, so later checks start ahead instead of from scratch.
+//! related sub-solves over one circuit — exactly the workload an
+//! incremental [`csat::core::Solver`] exists for, and [`csat::prep`]
+//! packages the whole loop (candidate discovery, incremental proving,
+//! merging, re-strashing) as pass 3–4 of its [`PrepPipeline`]: one solver
+//! keeps the learned clauses, VSIDS activities and saved phases from
+//! every earlier check, so later checks start ahead instead of from
+//! scratch.
 //!
 //! This example shows the simulation-proposed candidate set, runs the
 //! full pipeline over a redundant netlist, and verifies via the

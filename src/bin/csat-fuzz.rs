@@ -28,9 +28,9 @@
 //! disagreement (repros written to the corpus directory); 2 — usage error.
 //!
 //! `--matrix incremental` switches to the session-trajectory family: each
-//! iteration replays a random add/push/assume/pop/solve trajectory on a
-//! [`csat::core::Session`] or [`csat::cnf::Session`] and cross-checks every
-//! solve point against a fresh monolithic solver. Trajectory disagreements
+//! iteration replays a random add/push/assume/pop/solve trajectory on one
+//! incremental [`csat::core::Solver`] or [`csat::cnf::Solver`] and
+//! cross-checks every solve point against a fresh monolithic solver. Trajectory disagreements
 //! are replayed from the seed alone, so no corpus repro is written.
 //!
 //! `--matrix prep` runs the preprocessing differential: every instance is

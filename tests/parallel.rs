@@ -108,6 +108,7 @@ fn circuit_cubes_agree_with_sequential() {
                 probe_conflicts: 8,
             },
             &Budget::UNLIMITED,
+            |_, _| {},
         );
         match (&outcome.verdict, want_sat) {
             (Verdict::Sat(model), true) => assert!(check_model(&m.aig, model, m.objective)),

@@ -1,13 +1,13 @@
-//! Property tests for the incremental session API.
+//! Property tests for the incremental solver API.
 //!
 //! The contract under test: any interleaving of grow / push / assume /
-//! pop / solve steps on a [`csat::core::Session`] or [`csat::cnf::Session`]
+//! pop / solve steps on one [`csat::core::Solver`] or [`csat::cnf::Solver`]
 //! must yield, at every solve point, a verdict consistent with a fresh
 //! monolithic solver handed the accumulated problem under the same
 //! assumptions. Ops are encoded as `(kind, selector, sign)` tuples so the
 //! offline proptest stub can generate them (no `prop_oneof` there).
 
-use csat::core::{Budget, Session, Solver, SolverOptions, SubVerdict};
+use csat::core::{Budget, Solver, SolverOptions, SubVerdict};
 use csat::netlist::cnf::{Cnf, Lit as CLit, Var};
 use csat::netlist::{generators, miter, optimize, Aig, Lit, NodeId};
 use csat::telemetry::{MetricsRecorder, NoOpObserver};
@@ -38,11 +38,12 @@ fn lit_at(aig: &Aig, sel: u64, sign: bool) -> Lit {
 /// Cross-checks one circuit solve point; panics (via prop_assert) on any
 /// session-vs-fresh verdict split or unsound model.
 fn check_circuit_point(
-    session: &mut Session,
+    session: &mut Solver<'_>,
     extra: &[Lit],
     options: SolverOptions,
     budget: &Budget,
 ) {
+    session.simplify(&mut NoOpObserver);
     let verdict = session.solve_under(extra, budget, &mut NoOpObserver);
     let mut active: Vec<Lit> = session.assumptions().to_vec();
     active.extend_from_slice(extra);
@@ -86,7 +87,7 @@ proptest! {
         let aig = generators::random_logic(seed, 5, 15, 2);
         let options = SolverOptions::default();
         let budget = Budget::conflicts(200_000);
-        let mut session = Session::new(aig, options);
+        let mut session = Solver::owned(aig, options);
         for (kind, sel, sign) in ops {
             match kind {
                 0 | 1 => {
@@ -151,7 +152,7 @@ proptest! {
         }
         let options = csat::cnf::SolverOptions::default();
         let budget = Budget::conflicts(200_000);
-        let mut session = csat::cnf::Session::new(&cnf, options);
+        let mut session = csat::cnf::Solver::new(&cnf, options);
 
         let clause_from = |sel: u64, num_vars: usize| -> Vec<CLit> {
             let mut s = sel;
@@ -169,10 +170,11 @@ proptest! {
         let lit_from = |sel: u64, sign: bool, num_vars: usize| -> CLit {
             CLit::new(Var((sel as usize % num_vars) as u32), sign)
         };
-        let check_point = |session: &mut csat::cnf::Session,
+        let check_point = |session: &mut csat::cnf::Solver,
                                extra: &[CLit],
                                clauses: &[Vec<CLit>],
                                num_vars: usize| {
+            session.simplify(&mut NoOpObserver);
             let verdict = session.solve_under(extra, &budget, &mut NoOpObserver);
             let mut active: Vec<CLit> = session.assumptions().to_vec();
             active.extend_from_slice(extra);
@@ -246,10 +248,10 @@ proptest! {
     }
 }
 
-/// A session running a sequence of closely-related equivalence checks must
+/// One solver running a sequence of closely-related equivalence checks must
 /// actually retain learned clauses between calls — the whole point of the
 /// API. Asserted through both the `ClausesRetained` telemetry stream and
-/// the session's own learned-clause count.
+/// the solver's own learned-clause count.
 #[test]
 fn session_retains_learned_clauses_across_solves() {
     let base = generators::multiply_accumulate(2);
@@ -267,11 +269,12 @@ fn session_retains_learned_clauses_across_solves() {
 
     let budget = Budget::conflicts(10_000);
     let mut metrics = MetricsRecorder::default();
-    let mut session = Session::new(redundant, SolverOptions::default());
+    let mut session = Solver::new(&redundant, SolverOptions::default());
     // Prove each output pair equivalent: both difference orientations
     // must be UNSAT. Later proofs reuse what earlier ones learned.
     for (&bo, &vo) in bouts.iter().zip(&vouts) {
         for pair in [[bo, !vo], [!bo, vo]] {
+            session.simplify(&mut metrics);
             let v = session.solve_under(&pair, &budget, &mut metrics);
             assert!(
                 matches!(v, SubVerdict::Unsat | SubVerdict::UnsatUnderAssumptions(_)),
