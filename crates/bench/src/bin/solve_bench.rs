@@ -10,9 +10,10 @@
 //!   tree; later runs without the flag keep it frozen.
 //! * `solve_bench --quick` — measure only the perf-smoke subset (same
 //!   budgets, so rows compare 1:1). Does not write the file.
-//! * `solve_bench --check` — quick-measure and compare ns/conflict
-//!   against the checked-in `rows`; exit 1 on a >15% regression. This is
-//!   the `scripts/ci.sh perf-smoke` gate.
+//! * `solve_bench --check` — quick-measure and compare host-adjusted
+//!   ns/conflict (each row's over its calibration loop time) against the
+//!   checked-in `rows`; exit 1 on a >15% regression. This is the
+//!   `scripts/ci.sh perf-smoke` gate.
 //!
 //! An optional trailing path overrides the default `BENCH_solve.json` in
 //! the repo root / current directory.
@@ -21,9 +22,9 @@ use std::process::ExitCode;
 
 use csat_bench::perf::{
     compare_rows, family_specs, measure_family, percent_delta, PerfReport, SolveRow,
+    REGRESSION_THRESHOLD,
 };
 
-const REGRESSION_THRESHOLD: f64 = 0.15;
 const DEFAULT_REPS: usize = 3;
 
 fn main() -> ExitCode {
@@ -78,8 +79,13 @@ fn main() -> ExitCode {
         );
         let row = measure_family(spec, reps);
         eprintln!(
-            "  {:.0} ns/conflict, {:.2e} props/s, {:.0} conflicts/s ({:.2}s)",
-            row.ns_per_conflict, row.props_per_sec, row.conflicts_per_sec, row.wall_s
+            "  {} ns/conflict, {:.2e} props/s, {:.0} conflicts/s ({:.2}s, loop {:.2} ms)",
+            row.ns_per_conflict
+                .map_or("no".to_string(), |ns| format!("{ns:.0}")),
+            row.props_per_sec,
+            row.conflicts_per_sec,
+            row.wall_s,
+            row.calibration_ms.unwrap_or(0.0)
         );
         rows.push(row);
     }
@@ -104,7 +110,7 @@ fn main() -> ExitCode {
         // — a real regression reproduces, a scheduler hiccup does not.
         let retry: Vec<String> = cmp
             .iter()
-            .filter(|c| c.ratio > 1.0 + REGRESSION_THRESHOLD)
+            .filter(|c| c.regressed())
             .map(|c| format!("{}/{}", c.family, c.solver))
             .collect();
         if !retry.is_empty() {
@@ -115,12 +121,17 @@ fn main() -> ExitCode {
                 }
                 eprintln!("perf-smoke: re-measuring {key} (best of {})...", reps * 2);
                 let again = measure_family(spec, reps * 2);
+                let ratio = |r: &SolveRow| {
+                    compare_rows(&report, std::slice::from_ref(r))
+                        .first()
+                        .map_or(f64::INFINITY, |c| c.ratio)
+                };
                 if let Some(row) = rows.iter_mut().find(|r| {
                     r.family == spec.family
                         && r.solver == spec.solver.label()
                         && r.threads == spec.threads as u64
                 }) {
-                    if again.ns_per_conflict < row.ns_per_conflict {
+                    if ratio(&again) < ratio(row) {
                         *row = again;
                     }
                 }
@@ -129,25 +140,27 @@ fn main() -> ExitCode {
         }
         let mut failed = false;
         for c in &cmp {
-            let verdict = if c.ratio > 1.0 + REGRESSION_THRESHOLD {
+            let verdict = if c.regressed() {
                 failed = true;
                 "REGRESSION"
             } else {
                 "ok"
             };
             eprintln!(
-                "perf-smoke: {} / {}: {:.0} ns/conflict vs checked-in {:.0} ({}) {}",
+                "perf-smoke: {} / {}: {:.0} ns/conflict vs checked-in {:.0}, host {:.2}x \
+                 ({} host-adjusted) {}",
                 c.family,
                 c.solver,
                 c.measured,
                 c.checked_in,
+                c.host_factor,
                 percent_delta(c.ratio),
                 verdict
             );
         }
         return if failed {
             eprintln!(
-                "perf-smoke: ns/conflict regressed more than {:.0}% — \
+                "perf-smoke: host-adjusted ns/conflict regressed more than {:.0}% — \
                  rerun `solve_bench` and commit the refreshed {path} if intentional",
                 REGRESSION_THRESHOLD * 100.0
             );

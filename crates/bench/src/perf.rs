@@ -10,9 +10,18 @@
 //! * `rows` — the current measurement, refreshed by each `solve_bench` run.
 //!
 //! The `solve_bench --check` mode backs the `scripts/ci.sh perf-smoke`
-//! gate: it
-//! re-measures the quick subset and fails when ns/conflict regresses more
-//! than the threshold against the checked-in `rows`.
+//! gate: it re-measures the quick subset and fails when host-adjusted
+//! ns/conflict regresses more than [`REGRESSION_THRESHOLD`] against the
+//! checked-in `rows`.
+//!
+//! **Host adjustment.** A shared host changes speed by tens of percent
+//! over minutes, so absolute ns/conflict compares hosts as much as code.
+//! Every row therefore also records [`calibration_ms`]: the best time of
+//! a fixed CRC-32 loop over an 8-MiB buffer, which is not solver code,
+//! timed between the row's repetitions. The check divides each row's
+//! ns/conflict by its loop time before comparing, so a host that runs
+//! everything 20% slower moves both alike and a solver that got 20% slower
+//! moves only one (the idea of `perfbench/host.py`).
 
 use std::time::Instant;
 
@@ -96,8 +105,9 @@ pub struct SolveRow {
     pub decisions: u64,
     /// Wall-clock solve time (best of the measurement repetitions).
     pub wall_s: f64,
-    /// Nanoseconds of solve time per conflict.
-    pub ns_per_conflict: f64,
+    /// Nanoseconds of solve time per conflict; `None` on a row with no
+    /// conflicts, which has no such rate (the check skips it).
+    pub ns_per_conflict: Option<f64>,
     /// Propagations per second.
     pub props_per_sec: f64,
     /// Conflicts per second.
@@ -107,6 +117,53 @@ pub struct SolveRow {
     pub nodes_before: u64,
     /// AIG nodes after preprocessing (0 on non-prep rows).
     pub nodes_after: u64,
+    /// Best time of the calibration loop ([`calibration_ms`]) taken
+    /// between this row's repetitions; `None` on rows measured before the
+    /// loop existed.
+    pub calibration_ms: Option<f64>,
+}
+
+impl SolveRow {
+    /// More worker threads than the host had CPUs: the row measures
+    /// timeslicing overhead, not speedup.
+    pub fn overhead_only(&self) -> bool {
+        self.host_cpus > 0 && self.threads > self.host_cpus
+    }
+}
+
+/// A row regresses when its host-adjusted ns/conflict exceeds the
+/// checked-in one by more than this fraction.
+pub const REGRESSION_THRESHOLD: f64 = 0.15;
+
+/// The calibration loop's buffer: larger than a core's caches, so the
+/// loop streams memory the way the solvers' clause and netlist arrays do.
+const CALIBRATION_BYTES: usize = 8 << 20;
+
+/// One timing, in milliseconds, of a fixed loop that is not solver code:
+/// a table-driven CRC-32 over an 8-MiB buffer. Its time follows the
+/// host's speed, so rows measured in the same run can be adjusted by it.
+pub fn calibration_ms() -> f64 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|n| {
+            (0..8).fold(n, |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+        .collect();
+    let buffer: Vec<u8> = (0..CALIBRATION_BYTES).map(|i| i as u8).collect();
+    // `black_box` keeps the loop from being folded away or moved out of
+    // the timed window.
+    let buffer = std::hint::black_box(buffer);
+    let start = Instant::now();
+    let crc = buffer.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    });
+    std::hint::black_box(crc);
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// A family to measure: its workloads, the driving solver and the
@@ -427,14 +484,18 @@ fn run_once(spec: &FamilySpec) -> Totals {
 /// itself deterministic; only the clock varies between repetitions.
 pub fn measure_family(spec: &FamilySpec, reps: usize) -> SolveRow {
     let mut best: Option<Totals> = None;
+    let mut calibration = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t = run_once(spec);
         if best.as_ref().is_none_or(|b| t.wall_s < b.wall_s) {
             best = Some(t);
         }
+        // Best of a few loop timings per repetition, like the wall time.
+        for _ in 0..3 {
+            calibration = calibration.min(calibration_ms());
+        }
     }
     let t = best.expect("at least one repetition");
-    let conflicts = t.conflicts.max(1);
     SolveRow {
         family: spec.family.to_string(),
         solver: spec.solver.label().to_string(),
@@ -445,11 +506,12 @@ pub fn measure_family(spec: &FamilySpec, reps: usize) -> SolveRow {
         propagations: t.propagations,
         decisions: t.decisions,
         wall_s: t.wall_s,
-        ns_per_conflict: t.wall_s * 1e9 / conflicts as f64,
+        ns_per_conflict: (t.conflicts > 0).then(|| t.wall_s * 1e9 / t.conflicts as f64),
         props_per_sec: t.propagations as f64 / t.wall_s.max(1e-12),
         conflicts_per_sec: t.conflicts as f64 / t.wall_s.max(1e-12),
         nodes_before: t.nodes_before,
         nodes_after: t.nodes_after,
+        calibration_ms: Some(calibration),
     }
 }
 
@@ -476,15 +538,23 @@ fn row_json(r: &SolveRow) -> String {
         .field_u64("conflicts", r.conflicts)
         .field_u64("propagations", r.propagations)
         .field_u64("decisions", r.decisions)
-        .field_f64("wall_s", r.wall_s)
-        .field_f64("ns_per_conflict", r.ns_per_conflict)
-        .field_f64("props_per_sec", r.props_per_sec)
+        .field_f64("wall_s", r.wall_s);
+    if let Some(ns) = r.ns_per_conflict {
+        o.field_f64("ns_per_conflict", ns);
+    }
+    o.field_f64("props_per_sec", r.props_per_sec)
         .field_f64("conflicts_per_sec", r.conflicts_per_sec);
     // Only meaningful on prep rows; omitted elsewhere to keep the
     // pre-prep row shape (and the frozen baseline section) byte-stable.
     if r.nodes_before != 0 || r.nodes_after != 0 {
         o.field_u64("nodes_before", r.nodes_before)
             .field_u64("nodes_after", r.nodes_after);
+    }
+    if let Some(ms) = r.calibration_ms {
+        o.field_f64("calibration_ms", ms);
+    }
+    if r.overhead_only() {
+        o.field_raw("overhead_only", "true");
     }
     o.finish()
 }
@@ -527,7 +597,10 @@ impl PerfReport {
             let mut cmp = String::from("[\n");
             let mut first = true;
             for r in &self.rows {
-                if let Some(b) = find(&self.baseline, &r.family, &r.solver, r.threads) {
+                let Some(b) = find(&self.baseline, &r.family, &r.solver, r.threads) else {
+                    continue;
+                };
+                if let (Some(base_ns), Some(ns)) = (b.ns_per_conflict, r.ns_per_conflict) {
                     if !first {
                         cmp.push_str(",\n");
                     }
@@ -536,9 +609,9 @@ impl PerfReport {
                     c.field_str("family", &r.family)
                         .field_str("solver", &r.solver)
                         .field_u64("threads", r.threads)
-                        .field_f64("baseline_ns_per_conflict", b.ns_per_conflict)
-                        .field_f64("ns_per_conflict", r.ns_per_conflict)
-                        .field_f64("speedup", b.ns_per_conflict / r.ns_per_conflict)
+                        .field_f64("baseline_ns_per_conflict", base_ns)
+                        .field_f64("ns_per_conflict", ns)
+                        .field_f64("speedup", base_ns / ns)
                         .field_f64("props_per_sec_ratio", r.props_per_sec / b.props_per_sec);
                     cmp.push_str("    ");
                     cmp.push_str(&c.finish());
@@ -603,6 +676,7 @@ fn parse_rows(value: Option<&Json>) -> Result<Vec<SolveRow>, String> {
                 .to_string()
         };
         let n = |k: &str| -> f64 { o.get(k).and_then(Json::as_f64).unwrap_or(0.0) };
+        let opt = |k: &str| o.get(k).and_then(Json::as_f64);
         rows.push(SolveRow {
             family: s("family"),
             solver: s("solver"),
@@ -615,11 +689,12 @@ fn parse_rows(value: Option<&Json>) -> Result<Vec<SolveRow>, String> {
             propagations: n("propagations") as u64,
             decisions: n("decisions") as u64,
             wall_s: n("wall_s"),
-            ns_per_conflict: n("ns_per_conflict"),
+            ns_per_conflict: opt("ns_per_conflict"),
             props_per_sec: n("props_per_sec"),
             conflicts_per_sec: n("conflicts_per_sec"),
             nodes_before: n("nodes_before") as u64,
             nodes_after: n("nodes_after") as u64,
+            calibration_ms: opt("calibration_ms"),
         });
     }
     Ok(rows)
@@ -636,23 +711,41 @@ pub struct RegressionRow {
     pub checked_in: f64,
     /// Freshly measured ns/conflict.
     pub measured: f64,
-    /// `measured / checked_in`.
+    /// The fresh calibration loop's time over the checked-in one: how
+    /// much slower the host ran (1 when either row has no loop time).
+    pub host_factor: f64,
+    /// `measured / checked_in / host_factor`: the host-adjusted change.
     pub ratio: f64,
 }
 
-/// Re-measures `fresh` rows against the checked-in `report.rows` and
-/// returns every matching row with its ratio. A row regresses when
-/// `ratio > 1 + threshold`.
+impl RegressionRow {
+    /// Whether the host-adjusted ns/conflict regressed past
+    /// [`REGRESSION_THRESHOLD`].
+    pub fn regressed(&self) -> bool {
+        self.ratio > 1.0 + REGRESSION_THRESHOLD
+    }
+}
+
+/// Compares `fresh` rows with the checked-in `report.rows` and returns
+/// every matching row with its host-adjusted ratio. Rows without
+/// conflicts on either side have no ns/conflict and are skipped.
 pub fn compare_rows(report: &PerfReport, fresh: &[SolveRow]) -> Vec<RegressionRow> {
     fresh
         .iter()
         .filter_map(|m| {
-            find(&report.rows, &m.family, &m.solver, m.threads).map(|c| RegressionRow {
+            let c = find(&report.rows, &m.family, &m.solver, m.threads)?;
+            let (checked_in, measured) = (c.ns_per_conflict?, m.ns_per_conflict?);
+            let host_factor = match (m.calibration_ms, c.calibration_ms) {
+                (Some(now), Some(then)) => now / then.max(1e-12),
+                _ => 1.0,
+            };
+            Some(RegressionRow {
                 family: m.family.clone(),
                 solver: m.solver.clone(),
-                checked_in: c.ns_per_conflict,
-                measured: m.ns_per_conflict,
-                ratio: m.ns_per_conflict / c.ns_per_conflict.max(1e-12),
+                checked_in,
+                measured,
+                host_factor,
+                ratio: measured / checked_in.max(1e-12) / host_factor,
             })
         })
         .collect::<Vec<_>>()
@@ -678,11 +771,12 @@ mod tests {
             propagations: 50_000,
             decisions: 2000,
             wall_s: ns * 1000.0 / 1e9,
-            ns_per_conflict: ns,
+            ns_per_conflict: Some(ns),
             props_per_sec: 1e6,
             conflicts_per_sec: 1e3,
             nodes_before: 0,
             nodes_after: 0,
+            calibration_ms: Some(4.0),
         }
     }
 
@@ -702,7 +796,8 @@ mod tests {
         assert_eq!(back.rows.len(), 1);
         assert_eq!(back.rows[0].family, "c3540.equiv");
         assert_eq!(back.rows[0].conflicts, 1000);
-        assert!((back.rows[0].ns_per_conflict - 4000.0).abs() < 1e-6);
+        assert!((back.rows[0].ns_per_conflict.unwrap() - 4000.0).abs() < 1e-6);
+        assert_eq!(back.rows[0].calibration_ms, Some(4.0));
         assert!(text.contains("\"comparison\""));
         assert!(text.contains("\"speedup\": 1.25"));
     }
@@ -718,9 +813,97 @@ mod tests {
         let fresh = vec![row("a", "cnf", 1300.0), row("b", "cnf", 900.0)];
         let cmp = compare_rows(&report, &fresh);
         assert_eq!(cmp.len(), 2);
-        assert!(cmp[0].ratio > 1.15, "a regressed");
-        assert!(cmp[1].ratio < 1.0, "b improved");
+        assert!(cmp[0].regressed(), "a regressed");
+        assert!(cmp[1].ratio < 1.0 && !cmp[1].regressed(), "b improved");
         assert_eq!(percent_delta(cmp[0].ratio), "+30.0%");
+    }
+
+    #[test]
+    fn the_check_adjusts_for_host_speed() {
+        let report = PerfReport {
+            rows: vec![row("a", "cnf", 1000.0)],
+            ..Default::default()
+        };
+        // 20% slower at an equal loop time: the solver, so it fails.
+        let slower = row("a", "cnf", 1200.0);
+        let cmp = compare_rows(&report, &[slower]);
+        assert_eq!(cmp[0].host_factor, 1.0);
+        assert!(cmp[0].regressed(), "{cmp:?}");
+        // 30% slower with the loop 30% slower too: the host, so it passes.
+        let mut slow_host = row("a", "cnf", 1300.0);
+        slow_host.calibration_ms = Some(4.0 * 1.3);
+        let cmp = compare_rows(&report, &[slow_host.clone()]);
+        assert!((cmp[0].ratio - 1.0).abs() < 1e-9, "{cmp:?}");
+        assert!(!cmp[0].regressed());
+        // A slower host does not hide a slower solver.
+        slow_host.ns_per_conflict = Some(1300.0 * 1.2);
+        assert!(compare_rows(&report, &[slow_host])[0].regressed());
+        // Without a checked-in loop time the comparison is absolute.
+        let mut legacy = row("a", "cnf", 1000.0);
+        legacy.calibration_ms = None;
+        let report = PerfReport {
+            rows: vec![legacy],
+            ..Default::default()
+        };
+        let mut fresh = row("a", "cnf", 1300.0);
+        fresh.calibration_ms = Some(5.2);
+        assert!(compare_rows(&report, &[fresh])[0].regressed());
+    }
+
+    #[test]
+    fn rows_without_conflicts_have_no_rate_and_are_not_checked() {
+        let mut idle = row("c3540.equiv", "prep-light", 1.0);
+        idle.conflicts = 0;
+        idle.ns_per_conflict = None;
+        let report = PerfReport {
+            rows: vec![idle.clone(), row("b", "cnf", 1000.0)],
+            ..Default::default()
+        };
+        let text = report.to_json();
+        assert_eq!(text.matches("ns_per_conflict").count(), 1, "{text}");
+        let back = PerfReport::from_json(&text).expect("round trip");
+        assert_eq!(back.rows[0].ns_per_conflict, None);
+        // A fresh row with conflicts against a checked-in row without,
+        // and the other way round: neither is compared.
+        let fresh = row("c3540.equiv", "prep-light", 5000.0);
+        assert!(compare_rows(&back, &[fresh]).is_empty());
+        let report = PerfReport {
+            rows: vec![row("c3540.equiv", "prep-light", 5000.0)],
+            ..Default::default()
+        };
+        assert!(compare_rows(&report, &[idle]).is_empty());
+        // And a measured row with no conflicts writes no rate.
+        let spec = family_specs(false)
+            .into_iter()
+            .find(|s| {
+                s.family == "c3540.equiv" && s.solver == SolverKind::CircuitPrep(PrepLevel::Light)
+            })
+            .expect("prep-light c3540.equiv row");
+        let measured = measure_family(&spec, 1);
+        assert_eq!(measured.conflicts, 0);
+        assert_eq!(measured.ns_per_conflict, None);
+        assert!(measured.calibration_ms.is_some_and(|ms| ms > 0.0));
+    }
+
+    #[test]
+    fn rows_with_more_threads_than_cpus_are_marked_overhead_only() {
+        let mut r = row("c6288.equiv", "circuit-portfolio", 800.0);
+        for (threads, host_cpus, marked) in
+            [(4, 2, true), (2, 2, false), (2, 1, true), (1, 1, false)]
+        {
+            r.threads = threads;
+            r.host_cpus = host_cpus;
+            assert_eq!(r.overhead_only(), marked, "{threads} on {host_cpus}");
+            let text = PerfReport {
+                rows: vec![r.clone()],
+                ..Default::default()
+            }
+            .to_json();
+            assert_eq!(text.contains("\"overhead_only\": true"), marked, "{text}");
+        }
+        // Rows from an unknown host (0 CPUs recorded) are not marked.
+        r.host_cpus = 0;
+        assert!(!r.overhead_only());
     }
 
     #[test]

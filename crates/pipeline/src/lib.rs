@@ -10,7 +10,11 @@
 //! 2. **constant shortcut** — an objective prep folded to a constant is
 //!    decided without a kernel solve;
 //! 3. **correlate** — random simulation finds signal correlations, when
-//!    implicit or explicit learning wants them;
+//!    implicit or explicit learning wants them. It also watches the
+//!    objective: the first pattern that sets it to 1 is a *witness*, and
+//!    the witness is the model, with no explicit pass and no search (an
+//!    unsatisfiable objective never has one, so UNSAT runs go on as
+//!    below);
 //! 4. **explicit learning** — the paper's learn-from-conflict pass over
 //!    the correlations (sequential circuit engine only);
 //! 5. **dispatch** — the circuit or CNF engine, sequentially or on the
@@ -44,7 +48,7 @@ use csat_par::{
     ParMode, ParOutcome, PortfolioOptions,
 };
 use csat_prep::{PrepLevel, PrepOptions, PrepPipeline, PrepStats};
-use csat_sim::{find_correlations_observed, CorrelationResult, SimulationOptions};
+use csat_sim::{find_correlations_or_witness, CorrelationResult, SimulationOptions};
 use csat_telemetry::Observer;
 use csat_types::{Budget, SearchStats, Verdict};
 
@@ -191,7 +195,8 @@ pub struct Report {
     pub prep: Option<PrepStats>,
     /// The constant prep folded the objective to; no kernel solve ran.
     pub constant: Option<bool>,
-    /// Correlation discovery's result.
+    /// Correlation discovery's result; its `witness` is the model when
+    /// simulation answered.
     pub correlations: Option<CorrelationResult>,
     /// The explicit learning pass's report.
     pub explicit: Option<ExplicitReport>,
@@ -332,7 +337,9 @@ fn solve_cnf<O: Observer + ?Sized>(
 }
 
 /// The circuit solver, sequential (with the explicit pass) or parallel
-/// (one correlation analysis shared by every worker).
+/// (one correlation analysis shared by every worker). Simulation runs
+/// first and watches the objective: a pattern that satisfies it is the
+/// model, and no solver is built.
 fn solve_circuit<O: Observer + ?Sized>(
     request: &Request<'_>,
     aig: &Aig,
@@ -341,14 +348,21 @@ fn solve_circuit<O: Observer + ?Sized>(
     obs: &mut O,
     report: &mut Report,
 ) -> Verdict {
+    // Parallel workers take the correlations for implicit learning only;
+    // the explicit pass is sequential.
+    let simulate = request.implicit || (request.explicit && request.threads == 1);
+    let correlations =
+        simulate.then(|| find_correlations_or_witness(aig, &request.simulation, objective, obs));
+    let witness = correlations.as_ref().and_then(|c| c.witness.clone());
+    if let Some(model) = witness {
+        report.correlations = correlations;
+        return Verdict::Sat(model);
+    }
     let options = SolverOptions::builder()
         .jnode_decisions(request.engine == Engine::Circuit)
         .implicit_learning(request.implicit)
         .build();
     if request.threads > 1 {
-        let correlations = request
-            .implicit
-            .then(|| find_correlations_observed(aig, &request.simulation, obs));
         let configure = |_: usize, solver: &mut Solver<'_>| {
             if let Some(c) = &correlations {
                 solver.set_correlations(c);
@@ -381,8 +395,7 @@ fn solve_circuit<O: Observer + ?Sized>(
     if request.check_proof {
         solver.start_proof();
     }
-    if request.implicit || request.explicit {
-        let correlations = find_correlations_observed(aig, &request.simulation, obs);
+    if let Some(correlations) = correlations {
         solver.set_correlations(&correlations);
         if request.explicit {
             report.explicit = Some(explicit::run_budgeted_observed(
@@ -468,10 +481,152 @@ mod tests {
                     });
                     // `solve` itself asserts the model on the original netlist.
                     assert!(report.verdict.is_sat(), "{engine:?} {prep:?} {threads}");
-                    assert_eq!(report.parallel.is_some(), threads > 1);
+                    // Parallel workers run unless simulation answered.
+                    let witnessed = report
+                        .correlations
+                        .as_ref()
+                        .is_some_and(|c| c.witness.is_some());
+                    assert_eq!(report.parallel.is_some(), threads > 1 && !witnessed);
                 }
             }
         }
+    }
+
+    /// `base` with its `k`-th AND gate computing OR instead.
+    fn with_or_at(base: &Aig, k: usize) -> Aig {
+        let mut g = Aig::new();
+        let mut map = vec![Lit::FALSE; base.len()];
+        let mut ands = 0;
+        for (i, node) in base.nodes().iter().enumerate() {
+            let at = |l: Lit| map[l.node().index()].xor_complement(l.is_complemented());
+            map[i] = match *node {
+                csat_netlist::Node::False => Lit::FALSE,
+                csat_netlist::Node::Input => g.input(),
+                csat_netlist::Node::And(a, b) => {
+                    ands += 1;
+                    if ands == k + 1 {
+                        g.or(at(a), at(b))
+                    } else {
+                        g.and(at(a), at(b))
+                    }
+                }
+            };
+        }
+        for (name, l) in base.outputs() {
+            g.set_output(
+                name.clone(),
+                map[l.node().index()].xor_complement(l.is_complemented()),
+            );
+        }
+        g
+    }
+
+    /// A multiplier against a copy with one AND gate turned into an OR,
+    /// the first such gate whose change simulation sees.
+    fn planted_difference() -> miter::Miter {
+        let base = generators::array_multiplier(4);
+        (0..base.and_count())
+            .map(|k| miter::build_fresh(&base, &with_or_at(&base, k), Default::default()))
+            .find(|m| {
+                let sim = SimulationOptions::default();
+                find_correlations_or_witness(&m.aig, &sim, m.objective, &mut NoOpObserver)
+                    .witness
+                    .is_some()
+            })
+            .expect("some gate's change is visible")
+    }
+
+    #[test]
+    fn a_witness_answers_without_explicit_learning_or_search() {
+        let m = planted_difference();
+        let report = run(&Request::new(&m.aig, m.objective));
+        let Verdict::Sat(model) = &report.verdict else {
+            panic!("expected SAT, got {:?}", report.verdict);
+        };
+        let witness = report.correlations.and_then(|c| c.witness);
+        assert_eq!(witness.as_ref(), Some(model));
+        assert!(report.explicit.is_none() && report.stats.is_none());
+        assert!(report.parallel.is_none() && report.proof.is_none());
+    }
+
+    #[test]
+    fn witnesses_are_lifted_and_checked_on_threads_and_prep() {
+        let m = planted_difference();
+        for (threads, prep) in [(2, PrepLevel::Off), (1, PrepLevel::Light)] {
+            let report = run(&Request {
+                threads,
+                prep,
+                ..Request::new(&m.aig, m.objective)
+            });
+            let Verdict::Sat(model) = &report.verdict else {
+                panic!("{threads} {prep:?}: expected SAT, got {:?}", report.verdict);
+            };
+            assert!(report.correlations.is_some_and(|c| c.witness.is_some()));
+            assert!(report.explicit.is_none() && report.stats.is_none());
+            assert!(report.parallel.is_none());
+            assert_eq!(report.prep.is_some(), prep != PrepLevel::Off);
+            assert_eq!(model.len(), m.aig.inputs().len());
+            assert!(csat_core::check_model(&m.aig, model, m.objective));
+        }
+    }
+
+    #[test]
+    fn an_unsat_miter_makes_the_calls_it_always_made() {
+        let m = miter::build_fresh(
+            &generators::carry_select_adder(4, 2),
+            &generators::kogge_stone_adder(4),
+            Default::default(),
+        );
+        let mut recorder = MetricsRecorder::default();
+        let report = solve(
+            &Request::new(&m.aig, m.objective),
+            &Budget::UNLIMITED,
+            &mut recorder,
+        );
+
+        // The flow as written before simulation watched the objective.
+        let mut expected = MetricsRecorder::default();
+        let options = SolverOptions::builder()
+            .jnode_decisions(true)
+            .implicit_learning(true)
+            .build();
+        let mut solver = Solver::new(&m.aig, options);
+        let correlations = csat_sim::find_correlations_observed(
+            &m.aig,
+            &SimulationOptions::default(),
+            &mut expected,
+        );
+        solver.set_correlations(&correlations);
+        let pass = explicit::run_budgeted_observed(
+            &mut solver,
+            &correlations,
+            &ExplicitOptions::default(),
+            &Budget::UNLIMITED,
+            &mut expected,
+        );
+        let verdict = solver.solve_observed(m.objective, &Budget::UNLIMITED, &mut expected);
+
+        assert!(verdict.is_unsat() && report.verdict.is_unsat());
+        assert_eq!(report.stats, Some(*solver.stats()));
+        let got = report.explicit.expect("explicit pass ran");
+        assert_eq!(
+            (got.subproblems, got.refuted, got.aborted, got.satisfiable),
+            (
+                pass.subproblems,
+                pass.refuted,
+                pass.aborted,
+                pass.satisfiable
+            )
+        );
+        let sim = report.correlations.expect("simulation ran");
+        assert_eq!(sim.witness, None);
+        assert_eq!(sim.classes, correlations.classes);
+        assert_eq!(sim.correlations, correlations.correlations);
+        assert_eq!(sim.rounds, correlations.rounds);
+        assert_eq!(
+            recorder.report_json("UNSAT", std::time::Duration::ZERO),
+            expected.report_json("UNSAT", std::time::Duration::ZERO)
+        );
     }
 
     /// Counts `ClausesRetained` events (the recorder's field keeps only

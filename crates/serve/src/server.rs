@@ -854,23 +854,30 @@ mod tests {
         format!(r#"{{"type": "solve", "id": "{id}", "source": "{AND2}", "format": "bench"}}"#)
     }
 
-    fn drain_lines(rx: &Receiver<OutMsg>, until_results: usize, timeout: Duration) -> Vec<String> {
+    /// Lines read until `done` holds for all of them, or until `timeout`.
+    fn read_until(
+        rx: &Receiver<OutMsg>,
+        timeout: Duration,
+        done: impl Fn(&[String]) -> bool,
+    ) -> Vec<String> {
         let deadline = Instant::now() + timeout;
         let mut lines = Vec::new();
-        let mut results = 0;
-        while results < until_results && Instant::now() < deadline {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(OutMsg::Line(line)) => {
-                    if line.contains("\"type\": \"result\"") {
-                        results += 1;
-                    }
-                    lines.push(line);
-                }
-                Ok(OutMsg::Sync(_)) => {}
-                Err(_) => {}
+        while !done(&lines) && Instant::now() < deadline {
+            if let Ok(OutMsg::Line(line)) = rx.recv_timeout(Duration::from_millis(50)) {
+                lines.push(line);
             }
         }
         lines
+    }
+
+    fn drain_lines(rx: &Receiver<OutMsg>, until_results: usize, timeout: Duration) -> Vec<String> {
+        read_until(rx, timeout, |lines| {
+            lines
+                .iter()
+                .filter(|l| l.contains("\"type\": \"result\""))
+                .count()
+                >= until_results
+        })
     }
 
     #[test]
@@ -996,19 +1003,17 @@ mod tests {
         server.handle_line(&solve_frame("early"), &tx);
         server.request_drain();
         server.handle_line(&solve_frame("late"), &tx);
-        let lines = drain_lines(&rx, 1, Duration::from_secs(10));
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("\"id\": \"early\"") && l.contains("\"status\": \"sat\"")),
-            "{lines:?}"
-        );
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("\"id\": \"late\"") && l.contains("\"reason\": \"draining\"")),
-            "{lines:?}"
-        );
+        // The worker may answer `early` before `late` is rejected, so
+        // read until both frames are in.
+        let early =
+            |l: &String| l.contains("\"id\": \"early\"") && l.contains("\"status\": \"sat\"");
+        let late =
+            |l: &String| l.contains("\"id\": \"late\"") && l.contains("\"reason\": \"draining\"");
+        let lines = read_until(&rx, Duration::from_secs(10), |lines| {
+            lines.iter().any(early) && lines.iter().any(late)
+        });
+        assert!(lines.iter().any(early), "{lines:?}");
+        assert!(lines.iter().any(late), "{lines:?}");
         let summary = server.shutdown();
         assert!(summary.contains("\"type\": \"summary\""));
     }

@@ -22,11 +22,17 @@
 //! signature, so hashing can never change the discovered partition: with
 //! `words = 1` the results are identical to the original single-word
 //! engine, bit for bit.
+//!
+//! [`find_correlations_or_witness`] also watches one objective literal.
+//! The first round in which a pattern drives it to 1 is the last: that
+//! pattern's input values come back as [`CorrelationResult::witness`], a
+//! satisfying assignment found before any solver exists. An objective no
+//! pattern satisfies (every UNSAT miter) changes nothing, round for round.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use csat_netlist::{Aig, NodeId};
+use csat_netlist::{Aig, Lit, NodeId};
 use csat_telemetry::{NoOpObserver, Observer, SolverEvent};
 
 use crate::engine::{fingerprint, normalized_eq, SimEngine, SimStats};
@@ -124,6 +130,13 @@ pub struct CorrelationResult {
     pub elapsed: Duration,
     /// Detailed counters: rounds, patterns, splits, per-phase wall time.
     pub stats: SimStats,
+    /// Input values (one per primary input, in input order) of the first
+    /// pattern that drove the watched objective to 1, first in round,
+    /// word and bit order; simulation stopped after that round, the last
+    /// of `rounds`. `None` when no pattern did, and always from
+    /// [`find_correlations`] and [`find_correlations_observed`], which
+    /// watch nothing.
+    pub witness: Option<Vec<bool>>,
 }
 
 impl CorrelationResult {
@@ -264,6 +277,43 @@ pub fn find_correlations_observed<O>(
 where
     O: Observer + ?Sized,
 {
+    // Constant false is never 1, so nothing is watched.
+    find_correlations_or_witness(aig, options, Lit::FALSE, obs)
+}
+
+/// Like [`find_correlations_observed`], watching `objective` as well:
+/// after the first round in which a pattern drives it to 1, simulation
+/// stops and returns that pattern as [`CorrelationResult::witness`].
+/// While no pattern does, every round is exactly
+/// [`find_correlations_observed`]'s, so an objective that is never 1
+/// gives its result field for field.
+///
+/// # Example
+///
+/// ```
+/// use csat_netlist::Aig;
+/// use csat_sim::{find_correlations_or_witness, SimulationOptions};
+/// use csat_telemetry::NoOpObserver;
+///
+/// let mut aig = Aig::new();
+/// let a = aig.input();
+/// let b = aig.input();
+/// let y = aig.and(a, !b);
+/// aig.set_output("y", y);
+/// let result =
+///     find_correlations_or_witness(&aig, &SimulationOptions::default(), y, &mut NoOpObserver);
+/// assert_eq!(result.witness, Some(vec![true, false]));
+/// assert_eq!(result.rounds, 1);
+/// ```
+pub fn find_correlations_or_witness<O>(
+    aig: &Aig,
+    options: &SimulationOptions,
+    objective: Lit,
+    obs: &mut O,
+) -> CorrelationResult
+where
+    O: Observer + ?Sized,
+{
     let start = Instant::now();
     let n = aig.len();
     let mut engine = SimEngine::new(aig, options.words, options.threads);
@@ -285,6 +335,7 @@ where
     let mut num_classes = 1usize;
     let mut singletons = 0usize;
     let mut stall = 0usize;
+    let mut witness = None;
 
     while stall < options.stall_rounds && stats.rounds < options.max_rounds && num_classes < n {
         let sim_start = Instant::now();
@@ -338,6 +389,10 @@ where
             patterns: engine.patterns_per_round(),
             classes: num_classes as u64,
         });
+        witness = first_hit(&engine, aig, objective);
+        if witness.is_some() {
+            break;
+        }
     }
     stats.patterns = stats.rounds as u64 * engine.patterns_per_round();
 
@@ -428,7 +483,27 @@ where
         rounds: stats.rounds,
         elapsed: start.elapsed(),
         stats,
+        witness,
     }
+}
+
+/// The input values of the round's first pattern (lowest word, then
+/// lowest bit) that sets `objective` to 1, if any does.
+fn first_hit(engine: &SimEngine, aig: &Aig, objective: Lit) -> Option<Vec<bool>> {
+    let flip = 0u64.wrapping_sub(objective.is_complemented() as u64);
+    let (word, bits) = engine
+        .signature(objective.node())
+        .iter()
+        .map(|&w| w ^ flip)
+        .enumerate()
+        .find(|&(_, bits)| bits != 0)?;
+    let bit = bits.trailing_zeros();
+    Some(
+        aig.inputs()
+            .iter()
+            .map(|&input| engine.signature(input)[word] >> bit & 1 != 0)
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -635,6 +710,133 @@ mod tests {
         // Every reported class required splitting it off the initial one.
         assert!(result.stats.splits + 1 >= result.classes.len());
         assert!(result.stats.sim_time + result.stats.refine_time <= result.elapsed);
+    }
+
+    /// The first pattern, in round, word and bit order, that sets
+    /// `objective` to 1, found by replaying the RNG stream and evaluating
+    /// each pattern on its own: `(round, input values)`.
+    fn first_satisfying_pattern(
+        aig: &Aig,
+        objective: Lit,
+        options: &SimulationOptions,
+    ) -> Option<(usize, Vec<bool>)> {
+        let n = aig.inputs().len();
+        let words = options.words;
+        let mut rng = seeded_rng(options.seed);
+        let mut inputs = vec![0u64; n * words];
+        for round in 0..options.max_rounds {
+            crate::parallel::fill_random_words(&mut rng, &mut inputs);
+            for w in 0..words {
+                for bit in 0..64 {
+                    let pattern: Vec<bool> = (0..n)
+                        .map(|i| inputs[i * words + w] >> bit & 1 != 0)
+                        .collect();
+                    if aig.lit_value(&aig.evaluate(&pattern), objective) {
+                        return Some((round, pattern));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// An AND of eight inputs: about one pattern in 256 satisfies it.
+    fn rare_objective() -> (Aig, Lit) {
+        let mut g = Aig::new();
+        let inputs = g.inputs_n(8);
+        let mut y = inputs[0];
+        for &x in &inputs[1..] {
+            y = g.and(y, x);
+        }
+        g.set_output("y", y);
+        (g, y)
+    }
+
+    fn watch(aig: &Aig, objective: Lit, options: &SimulationOptions) -> CorrelationResult {
+        find_correlations_or_witness(aig, options, objective, &mut NoOpObserver)
+    }
+
+    #[test]
+    fn the_witness_is_the_first_satisfying_pattern() {
+        let (g, y) = rare_objective();
+        let mut later_rounds = 0;
+        for seed in 0..8 {
+            let options = SimulationOptions {
+                seed,
+                ..Default::default()
+            };
+            let (round, pattern) = first_satisfying_pattern(&g, y, &options).expect("satisfiable");
+            let result = watch(&g, y, &options);
+            assert_eq!(result.witness.as_ref(), Some(&pattern), "seed {seed}");
+            assert_eq!(result.rounds, round + 1, "seed {seed}");
+            assert_eq!(pattern, vec![true; 8]);
+            later_rounds += (round > 0) as usize;
+        }
+        // Some seeds miss in round 0, so the stop is tested too.
+        assert!(later_rounds > 0);
+    }
+
+    #[test]
+    fn a_complemented_objective_is_watched() {
+        let (g, y) = rare_objective();
+        let options = SimulationOptions::default();
+        let (round, pattern) = first_satisfying_pattern(&g, !y, &options).expect("satisfiable");
+        let result = watch(&g, !y, &options);
+        assert_eq!(round, 0);
+        assert_eq!(result.rounds, 1);
+        assert_eq!(result.witness, Some(pattern));
+        assert!(!g.lit_value(&g.evaluate(result.witness.as_ref().unwrap()), y));
+    }
+
+    #[test]
+    fn an_unsatisfiable_objective_changes_nothing() {
+        let m = miter::build_fresh(
+            &generators::carry_select_adder(4, 2),
+            &generators::kogge_stone_adder(4),
+            Default::default(),
+        );
+        let options = SimulationOptions::default();
+        let plain = find_correlations(&m.aig, &options);
+        let watched = watch(&m.aig, m.objective, &options);
+        assert_eq!(watched.witness, None);
+        assert_eq!(plain.witness, None);
+        assert_eq!(watched.classes, plain.classes);
+        assert_eq!(watched.correlations, plain.correlations);
+        assert_eq!(watched.rounds, plain.rounds);
+        assert_eq!(
+            (
+                watched.stats.rounds,
+                watched.stats.patterns,
+                watched.stats.splits
+            ),
+            (plain.stats.rounds, plain.stats.patterns, plain.stats.splits)
+        );
+        assert!(watched.rounds > 1);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn threads_find_the_same_witness() {
+        let (g, y) = rare_objective();
+        for seed in 0..4 {
+            let options = SimulationOptions {
+                seed,
+                ..Default::default()
+            };
+            let one = watch(&g, y, &options);
+            let two = watch(
+                &g,
+                y,
+                &SimulationOptions {
+                    threads: 2,
+                    ..options
+                },
+            );
+            assert!(one.witness.is_some());
+            assert_eq!(two.witness, one.witness, "seed {seed}");
+            assert_eq!(two.rounds, one.rounds, "seed {seed}");
+            assert_eq!(two.classes, one.classes, "seed {seed}");
+        }
     }
 
     #[test]

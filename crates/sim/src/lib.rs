@@ -10,7 +10,9 @@
 //! signal per round (default 4 ⇒ 256 patterns) through the reusable
 //! [`SimEngine`], optionally sharding the words across threads (`parallel`
 //! cargo feature). Refinement stops once a configurable number of
-//! consecutive rounds (paper: four) fails to split any class.
+//! consecutive rounds (paper: four) fails to split any class, or, through
+//! [`find_correlations_or_witness`], after the first round in which a
+//! pattern satisfies a watched objective: that pattern is a model.
 //!
 //! # Example
 //!
@@ -37,8 +39,8 @@ mod engine;
 mod parallel;
 
 pub use correlate::{
-    find_correlations, find_correlations_observed, Correlation, CorrelationResult, EquivClass,
-    Relation, SimulationOptions,
+    find_correlations, find_correlations_observed, find_correlations_or_witness, Correlation,
+    CorrelationResult, EquivClass, Relation, SimulationOptions,
 };
 pub use engine::{fingerprint, normalized_eq, polarity_mask, SimEngine, SimStats};
 pub use parallel::{fill_random_words, random_input_words, seeded_rng, simulate_words};

@@ -82,9 +82,11 @@ run_features() {
 run_perf_smoke() {
     # Perf regression gate: quick-measure the smoke subset of solve
     # families (same conflict budgets as the checked-in BENCH_solve.json
-    # rows, so they compare 1:1) and fail on a >15% ns/conflict
-    # regression. Shared CI runners are noisy — take the best of extra
-    # repetitions to keep the gate stable.
+    # rows, so they compare 1:1) and fail on a >15% regression of
+    # ns/conflict adjusted for host speed (each row over the time of a
+    # fixed calibration loop taken in the same run). Shared CI runners
+    # are noisy — take the best of extra repetitions to keep the gate
+    # stable.
     cargo run --release -p csat-bench --bin solve_bench -- --check --reps 5
 }
 run_perfbench() {

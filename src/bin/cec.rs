@@ -34,6 +34,15 @@
 //! learning pass is skipped (it targets a single solver's clause
 //! database). `--check-proof` is rejected with `--threads > 1`.
 //!
+//! The correlation simulation also watches the miter output. When one of
+//! its random patterns already tells the two circuits apart, that pattern
+//! is the counterexample: `cec` prints `c witness: simulation round R` on
+//! stderr and answers DIFFERENT with no explicit learning and no search,
+//! on one thread or many, with or without `--prep`. An equivalent pair
+//! never has such a pattern, so its check runs the whole flow; with
+//! `--no-learning` nothing is simulated and the search finds every
+//! counterexample.
+//!
 //! With `--prep full` the miter first runs through the `csat-prep`
 //! pipeline, which usually collapses equivalent circuit pairs outright:
 //! when preprocessing proves the miter objective constant false the

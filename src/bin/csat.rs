@@ -29,7 +29,9 @@
 //!
 //! The solve runs through [`csat::pipeline::solve`]: optional prep, then
 //! correlation discovery and the explicit learning pass (circuit engines),
-//! then the search. With `--threads N` (N > 1) the search runs on the
+//! then the search. A simulated pattern that already sets the objective
+//! to 1 is the model (`c witness: simulation round R` on stderr), and the
+//! explicit pass and the search are skipped. With `--threads N` (N > 1) the search runs on the
 //! parallel layer: `portfolio` races N diversified solver configurations
 //! with learned-clause sharing; `cubes` splits on the hottest variables
 //! after a probe and conquers the subcubes with work stealing. The verdict

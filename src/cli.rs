@@ -251,6 +251,10 @@ fn print_report(options: &Options, report: &Report) {
             c.stats.sim_time,
             c.stats.refine_time
         );
+        if c.witness.is_some() {
+            // Simulation stops after the round that found the model.
+            eprintln!("c witness: simulation round {}", c.rounds - 1);
+        }
     }
     if let Some(x) = &report.explicit {
         eprintln!(

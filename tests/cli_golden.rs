@@ -3,6 +3,8 @@
 //! Each case pins the exact stdout and exit code of one invocation on
 //! fixtures generated from `csat::netlist::generators`, so a refactor of
 //! the solve flow behind the binaries cannot change what they print.
+//! Every pinned model (a `v` or `input:` line) is also evaluated on its
+//! fixture, so no pin can hold a wrong one.
 //! Diagnostics on stderr are free to change, apart from the substrings a
 //! test asserts on explicitly. Parallel runs pin only their `s` line (the
 //! winning worker, and with it the model, varies run to run), and the
@@ -11,7 +13,8 @@
 mod common;
 
 use common::Fixtures;
-use csat::netlist::{aiger, generators, miter, tseitin, Aig};
+use csat::netlist::{aiger, generators, miter, tseitin, Aig, Lit};
+use csat::pipeline::{load, Format};
 
 /// One pinned invocation: arguments (fixture names resolve inside the
 /// fixture directory), exit code and exact stdout.
@@ -74,7 +77,7 @@ fn fixtures(test: &str) -> Fixtures {
     for (name, lit) in outs {
         // The carry out becomes the first input: wrong on most patterns.
         let lit = if name == "cout" {
-            csat::netlist::Lit::new(buggy.inputs()[0], false)
+            Lit::new(buggy.inputs()[0], false)
         } else {
             lit
         };
@@ -96,10 +99,50 @@ fn negate_first_output(aig: &Aig) -> Aig {
     out
 }
 
+/// A fixture file's netlist and objective, as `csat` loads it.
+fn load_fixture(fx: &Fixtures, name: &str, output: Option<&str>, negate: bool) -> (Aig, Lit) {
+    let format = Format::from_path(name).expect("fixture format");
+    let text = std::fs::read_to_string(fx.path(name)).expect("fixture file");
+    load(format, &text, output, negate).expect("fixture loads")
+}
+
+/// Asserts that the model a case pins is one: `csat`'s `v` line sets the
+/// objective its flags pick to 1, and `cec`'s `input:` line makes the two
+/// netlists differ on some output.
+fn assert_pinned_model_holds(fx: &Fixtures, bin: &str, case: &Golden) {
+    let Some(bits) = case.stdout.lines().find_map(|line| {
+        line.strip_prefix("v ")
+            .or_else(|| line.strip_prefix("input: "))
+    }) else {
+        return;
+    };
+    let model: Vec<bool> = bits.chars().map(|c| c == '1').collect();
+    let args = case.args;
+    let holds = if bin == "cec" {
+        let [.., left, right] = args else {
+            panic!("cec needs two files")
+        };
+        let (left, _) = load_fixture(fx, left, None, false);
+        let (right, _) = load_fixture(fx, right, None, false);
+        left.evaluate_outputs(&model) != right.evaluate_outputs(&model)
+    } else {
+        let output = args
+            .iter()
+            .position(|&a| a == "--output")
+            .map(|k| args[k + 1]);
+        let negate = args.contains(&"--negate");
+        let file = args.last().expect("csat needs a file");
+        let (aig, objective) = load_fixture(fx, file, output, negate);
+        aig.lit_value(&aig.evaluate(&model), objective)
+    };
+    assert!(holds, "{bin} {args:?}: the pinned model {bits} is wrong");
+}
+
 /// Runs every case and reports all mismatches at once.
 fn check(fx: &Fixtures, bin: &str, cases: &[Golden]) {
     let mut failures = Vec::new();
     for case in cases {
+        assert_pinned_model_holds(fx, bin, case);
         let out = fx.run(bin, case.args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         if out.status.code() != Some(case.code) || stdout != case.stdout {
@@ -148,7 +191,7 @@ fn csat_engines() {
             golden(
                 &["--engine", "circuit-plain", "sat.bench"],
                 10,
-                "s SATISFIABLE\nv 00000001\n",
+                "s SATISFIABLE\nv 00000100\n",
             ),
             golden(
                 &["--engine", "cnf", "sat.bench"],
@@ -189,27 +232,27 @@ fn csat_objective_flags() {
             golden(
                 &["--negate", "sat.bench"],
                 10,
-                "s SATISFIABLE\nv 00010000\n",
+                "s SATISFIABLE\nv 11111111\n",
             ),
             golden(
                 &["--output", "eq", "sat.bench"],
                 10,
-                "s SATISFIABLE\nv 10001000\n",
+                "s SATISFIABLE\nv 11111111\n",
             ),
             golden(
                 &["--output", "gt", "--negate", "sat.bench"],
                 10,
-                "s SATISFIABLE\nv 00001001\n",
+                "s SATISFIABLE\nv 11111111\n",
             ),
             golden(
                 &["--negate", "unsat.bench"],
                 10,
-                "s SATISFIABLE\nv 001100100\n",
+                "s SATISFIABLE\nv 111111110\n",
             ),
             golden(
                 &["--negate", "sat.cnf"],
                 10,
-                "s SATISFIABLE\nv 001110011000010011011000000000100\n",
+                "s SATISFIABLE\nv 111111110110001100001111000011100\n",
             ),
             golden(&["--output", "nope", "sat.bench"], 2, ""),
         ],
@@ -355,7 +398,7 @@ fn cec_verdicts() {
             golden(
                 &["left.bench", "buggy.bench"],
                 1,
-                "DIFFERENT\ninput: 01011011000\noutput cout: left=1 right=0\n",
+                "DIFFERENT\ninput: 00011110111\noutput cout: left=1 right=0\n",
             ),
             golden(&["left.bench", "narrow.bench"], 2, ""),
             golden(&["left.bench"], 2, ""),
@@ -388,12 +431,12 @@ fn cec_flags() {
             golden(
                 &["--prep", "full", "left.bench", "buggy.bench"],
                 1,
-                "DIFFERENT\ninput: 00001000010\noutput cout: left=1 right=0\n",
+                "DIFFERENT\ninput: 00011110111\noutput cout: left=1 right=0\n",
             ),
             golden(
                 &["--prep", "light", "left.bench", "buggy.bench"],
                 1,
-                "DIFFERENT\ninput: 10100110101\noutput cout: left=0 right=1\n",
+                "DIFFERENT\ninput: 00011110111\noutput cout: left=1 right=0\n",
             ),
             golden(
                 &["--check-proof", "left.bench", "right.aag"],
