@@ -12,7 +12,8 @@
 //!   budgets, so rows compare 1:1). Does not write the file.
 //! * `solve_bench --check` — quick-measure and compare host-adjusted
 //!   ns/conflict (each row's over its calibration loop time) against the
-//!   checked-in `rows`; exit 1 on a >15% regression. This is the
+//!   checked-in `rows`; exit 1 on a >15% regression, or when a checked-in
+//!   row has no loop time (regenerate the file). This is the
 //!   `scripts/ci.sh perf-smoke` gate.
 //!
 //! An optional trailing path overrides the default `BENCH_solve.json` in
@@ -99,11 +100,19 @@ fn main() -> ExitCode {
             eprintln!("perf-smoke: no {path} to check against");
             return ExitCode::FAILURE;
         };
-        let mut cmp = compare_rows(&report, &rows);
-        if cmp.is_empty() {
-            eprintln!("perf-smoke: no overlapping rows between measurement and {path}");
-            return ExitCode::FAILURE;
-        }
+        let mut cmp = match compare_rows(&report, &rows) {
+            Ok(cmp) if !cmp.is_empty() => cmp,
+            Ok(_) => {
+                eprintln!("perf-smoke: no overlapping rows between measurement and {path}");
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("perf-smoke: {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        // The checked-in rows were read above, so comparing again succeeds.
+        let compare = |rows: &[SolveRow]| compare_rows(&report, rows).expect("rows read above");
         // A single noisy window on a shared host can spike one family past
         // the threshold. Before declaring a regression, re-measure the
         // offending family once with doubled repetitions and keep the best
@@ -122,7 +131,7 @@ fn main() -> ExitCode {
                 eprintln!("perf-smoke: re-measuring {key} (best of {})...", reps * 2);
                 let again = measure_family(spec, reps * 2);
                 let ratio = |r: &SolveRow| {
-                    compare_rows(&report, std::slice::from_ref(r))
+                    compare(std::slice::from_ref(r))
                         .first()
                         .map_or(f64::INFINITY, |c| c.ratio)
                 };
@@ -136,7 +145,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            cmp = compare_rows(&report, &rows);
+            cmp = compare(&rows);
         }
         let mut failed = false;
         for c in &cmp {

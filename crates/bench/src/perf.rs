@@ -16,12 +16,14 @@
 //!
 //! **Host adjustment.** A shared host changes speed by tens of percent
 //! over minutes, so absolute ns/conflict compares hosts as much as code.
-//! Every row therefore also records [`calibration_ms`]: the best time of
-//! a fixed CRC-32 loop over an 8-MiB buffer, which is not solver code,
-//! timed between the row's repetitions. The check divides each row's
+//! Every row therefore also records [`calibration_ms`]: the pass time of
+//! a fixed CRC-32 loop, which is not solver code, averaged over a window
+//! as long as each repetition and taken right after it (the best of the
+//! repetitions, like the wall time). The check divides each row's
 //! ns/conflict by its loop time before comparing, so a host that runs
 //! everything 20% slower moves both alike and a solver that got 20% slower
-//! moves only one (the idea of `perfbench/host.py`).
+//! moves only one (the idea of `perfbench/host.py`). DESIGN.md §5g has
+//! how closely the loop follows the rows under load.
 
 use std::time::Instant;
 
@@ -117,9 +119,9 @@ pub struct SolveRow {
     pub nodes_before: u64,
     /// AIG nodes after preprocessing (0 on non-prep rows).
     pub nodes_after: u64,
-    /// Best time of the calibration loop ([`calibration_ms`]) taken
-    /// between this row's repetitions; `None` on rows measured before the
-    /// loop existed.
+    /// The calibration loop's pass time ([`calibration_ms`]) over a
+    /// window as long as a repetition, best over the repetitions; `None`
+    /// on rows measured before the loop existed, which the check refuses.
     pub calibration_ms: Option<f64>,
 }
 
@@ -135,14 +137,17 @@ impl SolveRow {
 /// checked-in one by more than this fraction.
 pub const REGRESSION_THRESHOLD: f64 = 0.15;
 
-/// The calibration loop's buffer: larger than a core's caches, so the
-/// loop streams memory the way the solvers' clause and netlist arrays do.
+/// The calibration loop's buffer.
 const CALIBRATION_BYTES: usize = 8 << 20;
 
-/// One timing, in milliseconds, of a fixed loop that is not solver code:
-/// a table-driven CRC-32 over an 8-MiB buffer. Its time follows the
-/// host's speed, so rows measured in the same run can be adjusted by it.
-pub fn calibration_ms() -> f64 {
+/// The mean time, in milliseconds, of one pass of a fixed loop that is not
+/// solver code — a byte-at-a-time table-driven CRC-32 over an 8-MiB
+/// buffer, a serial chain of table lookups — over back-to-back passes that
+/// fill at least `window_s` seconds (at least one pass). A window as long
+/// as the measurement it adjusts meets the same share of a contended CPU:
+/// a single short pass can fit between other processes' time slices and
+/// read the host as idle while a longer solve beside it runs slower.
+pub fn calibration_ms(window_s: f64) -> f64 {
     let table: Vec<u32> = (0..256u32)
         .map(|n| {
             (0..8).fold(n, |c, _| {
@@ -159,11 +164,18 @@ pub fn calibration_ms() -> f64 {
     // the timed window.
     let buffer = std::hint::black_box(buffer);
     let start = Instant::now();
-    let crc = buffer.iter().fold(!0u32, |c, &b| {
-        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
-    });
-    std::hint::black_box(crc);
-    start.elapsed().as_secs_f64() * 1e3
+    let mut passes = 0u32;
+    loop {
+        let crc = buffer.iter().fold(!0u32, |c, &b| {
+            table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+        });
+        std::hint::black_box(crc);
+        passes += 1;
+        if start.elapsed().as_secs_f64() >= window_s {
+            break;
+        }
+    }
+    start.elapsed().as_secs_f64() * 1e3 / f64::from(passes)
 }
 
 /// A family to measure: its workloads, the driving solver and the
@@ -487,12 +499,11 @@ pub fn measure_family(spec: &FamilySpec, reps: usize) -> SolveRow {
     let mut calibration = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t = run_once(spec);
+        // The loop over a window as long as the repetition, right after
+        // it; the best of the repetitions, like the wall time.
+        calibration = calibration.min(calibration_ms(t.wall_s));
         if best.as_ref().is_none_or(|b| t.wall_s < b.wall_s) {
             best = Some(t);
-        }
-        // Best of a few loop timings per repetition, like the wall time.
-        for _ in 0..3 {
-            calibration = calibration.min(calibration_ms());
         }
     }
     let t = best.expect("at least one repetition");
@@ -712,7 +723,7 @@ pub struct RegressionRow {
     /// Freshly measured ns/conflict.
     pub measured: f64,
     /// The fresh calibration loop's time over the checked-in one: how
-    /// much slower the host ran (1 when either row has no loop time).
+    /// much slower the host ran.
     pub host_factor: f64,
     /// `measured / checked_in / host_factor`: the host-adjusted change.
     pub ratio: f64,
@@ -729,26 +740,38 @@ impl RegressionRow {
 /// Compares `fresh` rows with the checked-in `report.rows` and returns
 /// every matching row with its host-adjusted ratio. Rows without
 /// conflicts on either side have no ns/conflict and are skipped.
-pub fn compare_rows(report: &PerfReport, fresh: &[SolveRow]) -> Vec<RegressionRow> {
-    fresh
-        .iter()
-        .filter_map(|m| {
-            let c = find(&report.rows, &m.family, &m.solver, m.threads)?;
-            let (checked_in, measured) = (c.ns_per_conflict?, m.ns_per_conflict?);
-            let host_factor = match (m.calibration_ms, c.calibration_ms) {
-                (Some(now), Some(then)) => now / then.max(1e-12),
-                _ => 1.0,
-            };
-            Some(RegressionRow {
-                family: m.family.clone(),
-                solver: m.solver.clone(),
-                checked_in,
-                measured,
-                host_factor,
-                ratio: measured / checked_in.max(1e-12) / host_factor,
-            })
-        })
-        .collect::<Vec<_>>()
+///
+/// # Errors
+///
+/// A message naming the first matching checked-in row without a
+/// `calibration_ms`: its ns/conflict cannot be adjusted for the host, so
+/// the file needs regenerating.
+pub fn compare_rows(report: &PerfReport, fresh: &[SolveRow]) -> Result<Vec<RegressionRow>, String> {
+    let mut out = Vec::new();
+    for m in fresh {
+        let Some(c) = find(&report.rows, &m.family, &m.solver, m.threads) else {
+            continue;
+        };
+        let (Some(checked_in), Some(measured)) = (c.ns_per_conflict, m.ns_per_conflict) else {
+            continue;
+        };
+        let (Some(then), Some(now)) = (c.calibration_ms, m.calibration_ms) else {
+            return Err(format!(
+                "{} / {} has no calibration_ms; regenerate the file with `solve_bench`",
+                m.family, m.solver
+            ));
+        };
+        let host_factor = now / then.max(1e-12);
+        out.push(RegressionRow {
+            family: m.family.clone(),
+            solver: m.solver.clone(),
+            checked_in,
+            measured,
+            host_factor,
+            ratio: measured / checked_in.max(1e-12) / host_factor,
+        });
+    }
+    Ok(out)
 }
 
 /// Formats a ratio as a signed percentage delta (`+7.3%`).
@@ -811,7 +834,7 @@ mod tests {
             rows: vec![row("a", "cnf", 1000.0), row("b", "cnf", 1000.0)],
         };
         let fresh = vec![row("a", "cnf", 1300.0), row("b", "cnf", 900.0)];
-        let cmp = compare_rows(&report, &fresh);
+        let cmp = compare_rows(&report, &fresh).expect("loop times recorded");
         assert_eq!(cmp.len(), 2);
         assert!(cmp[0].regressed(), "a regressed");
         assert!(cmp[1].ratio < 1.0 && !cmp[1].regressed(), "b improved");
@@ -824,30 +847,40 @@ mod tests {
             rows: vec![row("a", "cnf", 1000.0)],
             ..Default::default()
         };
+        let compare = |fresh: &SolveRow| {
+            compare_rows(&report, std::slice::from_ref(fresh)).expect("loop times recorded")[0]
+                .clone()
+        };
         // 20% slower at an equal loop time: the solver, so it fails.
-        let slower = row("a", "cnf", 1200.0);
-        let cmp = compare_rows(&report, &[slower]);
-        assert_eq!(cmp[0].host_factor, 1.0);
-        assert!(cmp[0].regressed(), "{cmp:?}");
+        let slower = compare(&row("a", "cnf", 1200.0));
+        assert_eq!(slower.host_factor, 1.0);
+        assert!(slower.regressed(), "{slower:?}");
         // 30% slower with the loop 30% slower too: the host, so it passes.
         let mut slow_host = row("a", "cnf", 1300.0);
         slow_host.calibration_ms = Some(4.0 * 1.3);
-        let cmp = compare_rows(&report, &[slow_host.clone()]);
-        assert!((cmp[0].ratio - 1.0).abs() < 1e-9, "{cmp:?}");
-        assert!(!cmp[0].regressed());
+        let cmp = compare(&slow_host);
+        assert!((cmp.ratio - 1.0).abs() < 1e-9, "{cmp:?}");
+        assert!(!cmp.regressed());
         // A slower host does not hide a slower solver.
         slow_host.ns_per_conflict = Some(1300.0 * 1.2);
-        assert!(compare_rows(&report, &[slow_host])[0].regressed());
-        // Without a checked-in loop time the comparison is absolute.
-        let mut legacy = row("a", "cnf", 1000.0);
-        legacy.calibration_ms = None;
+        assert!(compare(&slow_host).regressed());
+    }
+
+    #[test]
+    fn a_checked_in_row_without_a_loop_time_needs_regenerating() {
+        let mut old = row("a", "cnf", 1000.0);
+        old.calibration_ms = None;
         let report = PerfReport {
-            rows: vec![legacy],
+            rows: vec![old, row("b", "cnf", 1000.0)],
             ..Default::default()
         };
-        let mut fresh = row("a", "cnf", 1300.0);
-        fresh.calibration_ms = Some(5.2);
-        assert!(compare_rows(&report, &[fresh])[0].regressed());
+        let err = compare_rows(&report, &[row("a", "cnf", 1000.0)]).unwrap_err();
+        assert!(err.contains("a / cnf has no calibration_ms"), "{err}");
+        // Rows the measurement does not reach are not read.
+        assert_eq!(
+            compare_rows(&report, &[row("b", "cnf", 1000.0)]).map(|c| c.len()),
+            Ok(1)
+        );
     }
 
     #[test]
@@ -866,12 +899,12 @@ mod tests {
         // A fresh row with conflicts against a checked-in row without,
         // and the other way round: neither is compared.
         let fresh = row("c3540.equiv", "prep-light", 5000.0);
-        assert!(compare_rows(&back, &[fresh]).is_empty());
+        assert_eq!(compare_rows(&back, &[fresh]).map(|c| c.len()), Ok(0));
         let report = PerfReport {
             rows: vec![row("c3540.equiv", "prep-light", 5000.0)],
             ..Default::default()
         };
-        assert!(compare_rows(&report, &[idle]).is_empty());
+        assert_eq!(compare_rows(&report, &[idle]).map(|c| c.len()), Ok(0));
         // And a measured row with no conflicts writes no rate.
         let spec = family_specs(false)
             .into_iter()
@@ -1036,6 +1069,8 @@ mod tests {
             .rows
             .iter()
             .all(|r| !r.family.is_empty() && r.threads >= 1));
+        // `--check` refuses rows without a loop time.
+        assert!(report.rows.iter().all(|r| r.calibration_ms.is_some()));
     }
 
     #[test]

@@ -468,25 +468,66 @@ mod tests {
 
     #[test]
     fn every_engine_agrees_and_models_are_lifted() {
-        let adder = generators::ripple_carry_adder(4);
-        let objective = adder.outputs()[0].1;
-        for engine in [Engine::Circuit, Engine::CircuitPlain, Engine::Cnf] {
-            for prep in [PrepLevel::Off, PrepLevel::Light, PrepLevel::Full] {
-                for threads in [1, 2] {
-                    let report = run(&Request {
-                        engine,
-                        prep,
-                        threads,
-                        ..Request::new(&adder, objective)
-                    });
-                    // `solve` itself asserts the model on the original netlist.
-                    assert!(report.verdict.is_sat(), "{engine:?} {prep:?} {threads}");
-                    // Parallel workers run unless simulation answered.
-                    let witnessed = report
-                        .correlations
-                        .as_ref()
-                        .is_some_and(|c| c.witness.is_some());
-                    assert_eq!(report.parallel.is_some(), threads > 1 && !witnessed);
+        // Output 0 of a small adder: simulation sets it in round 0. All
+        // outputs of a wide adder at once: one input pattern in 2^33,
+        // which simulation never draws, so the engines search for it.
+        let small = generators::ripple_carry_adder(4);
+        let mut wide = generators::ripple_carry_adder(16);
+        let outputs: Vec<Lit> = wide.outputs().iter().map(|&(_, l)| l).collect();
+        let all_ones = outputs
+            .into_iter()
+            .fold(Lit::TRUE, |acc, l| wide.and(acc, l));
+        for (aig, objective, simulation_hits) in [
+            (&small, small.outputs()[0].1, true),
+            (&wide, all_ones, false),
+        ] {
+            for learning in [true, false] {
+                for engine in [Engine::Circuit, Engine::CircuitPlain, Engine::Cnf] {
+                    for prep in [PrepLevel::Off, PrepLevel::Light, PrepLevel::Full] {
+                        for threads in [1, 2] {
+                            let case = format!(
+                                "{engine:?} {prep:?} threads {threads} \
+                                 learning {learning} drawn {simulation_hits}"
+                            );
+                            let report = run(&Request {
+                                engine,
+                                prep,
+                                threads,
+                                implicit: learning,
+                                explicit: learning,
+                                ..Request::new(aig, objective)
+                            });
+                            // `solve` itself asserts the model on the
+                            // original netlist.
+                            assert!(report.verdict.is_sat(), "{case}");
+                            assert_eq!(report.constant, None, "{case}");
+                            // Only the circuit engines simulate, and only
+                            // with learning on.
+                            let witnessed = report
+                                .correlations
+                                .as_ref()
+                                .is_some_and(|c| c.witness.is_some());
+                            let simulated = learning && engine != Engine::Cnf;
+                            assert_eq!(witnessed, simulated && simulation_hits, "{case}");
+                            // Otherwise the engine searched: on the parallel
+                            // layer with threads, sequentially without.
+                            assert_eq!(
+                                report.parallel.is_some(),
+                                threads > 1 && !witnessed,
+                                "{case}"
+                            );
+                            assert_eq!(
+                                report.stats.is_some(),
+                                threads == 1 && !witnessed,
+                                "{case}"
+                            );
+                            assert_eq!(
+                                report.explicit.is_some(),
+                                simulated && threads == 1 && !witnessed,
+                                "{case}"
+                            );
+                        }
+                    }
                 }
             }
         }
