@@ -27,14 +27,16 @@
 
 use std::time::Instant;
 
-use csat_core::{Budget, Solver, SolverOptions};
+use csat_core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions};
 use csat_netlist::{tseitin, Aig, Lit};
 use csat_prep::{PrepLevel, PrepPipeline};
 use csat_sim::{find_correlations, Relation, SimulationOptions};
 use csat_telemetry::json::{self, Json, JsonObject};
 use csat_telemetry::NoOpObserver;
 
-use crate::workload::{equiv_suite, opt_suite, scan_suite, sweep_workload, Scale, Workload};
+use crate::workload::{
+    c6288_opt, equiv_suite, opt_suite, scan_suite, sweep_workload, Scale, Workload,
+};
 
 /// Which solver a perf row drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,8 +65,15 @@ pub enum SolverKind {
     /// solver on the reduced netlist, timed end-to-end (preprocessing plus
     /// solve). `PrepLevel::Off` is the unpreprocessed control row; the
     /// `nodes_before`/`nodes_after` columns record what the pipeline
-    /// removed. Conflicts aggregate sweep proofs and the final solve.
+    /// removed. Conflicts, propagations and decisions aggregate the sweep's
+    /// proofs and the final solve.
     CircuitPrep(PrepLevel),
+    /// The paper's explicit learning as `cec` runs it: the circuit solver
+    /// with implicit learning, the explicit-learning pass over the
+    /// correlations, then the objective. Simulation runs outside the
+    /// timed window; the pass and the final solve run inside it, and the
+    /// counts cover both.
+    CircuitExplicit,
 }
 
 impl SolverKind {
@@ -79,6 +88,7 @@ impl SolverKind {
             SolverKind::CircuitPrep(PrepLevel::Off) => "prep-off",
             SolverKind::CircuitPrep(PrepLevel::Light) => "prep-light",
             SolverKind::CircuitPrep(PrepLevel::Full) => "prep-full",
+            SolverKind::CircuitExplicit => "circuit-explicit",
         }
     }
 }
@@ -301,26 +311,48 @@ pub fn family_specs(quick: bool) -> Vec<FamilySpec> {
     // pure pipeline overhead against the prep-off search cost) and one
     // restructured-variant family (survives the rebuild, so the full row
     // exercises simulation + SAT sweeping). End-to-end wall time; the
-    // nodes_before/nodes_after columns record the reduction.
+    // nodes_before/nodes_after columns record the reduction. One run takes
+    // from about 15 µs (a collapsing miter) to 60 ms, so each level has
+    // its own repeat count.
     let mut specs = specs;
     let opt = opt_suite(Scale::Quick);
-    for family in ["c3540.equiv", "c3540.opt"] {
+    for (family, solves) in [
+        ("c3540.equiv", [6, 12_000, 12_000]),
+        ("c3540.opt", [12, 16, 200]),
+    ] {
         let workloads = if family.ends_with(".opt") {
             named(&opt, family)
         } else {
             named(&equiv, family)
         };
-        for level in [PrepLevel::Off, PrepLevel::Light, PrepLevel::Full] {
+        let levels = [PrepLevel::Off, PrepLevel::Light, PrepLevel::Full];
+        for (level, solves) in levels.into_iter().zip(solves) {
             specs.push(FamilySpec {
                 family,
                 solver: SolverKind::CircuitPrep(level),
                 threads: 1,
                 workloads: workloads.clone(),
                 conflict_budget: 20_000,
-                solves: 1,
+                solves,
                 quick: false,
             });
         }
+    }
+    // Explicit learning, the layer `cec` spends most of an equivalence
+    // check in, on a multiply-accumulate and a multiplier `.opt` miter.
+    for (family, workloads, solves) in [
+        ("c3540.opt", named(&opt, "c3540.opt"), 200),
+        ("c6288.opt", vec![c6288_opt(Scale::Quick)], 40),
+    ] {
+        specs.push(FamilySpec {
+            family,
+            solver: SolverKind::CircuitExplicit,
+            threads: 1,
+            workloads,
+            conflict_budget: 20_000,
+            solves,
+            quick: false,
+        });
     }
     // Threads-sweep: the portfolio at 1/2/4 workers on the two hardest
     // miter families. The per-worker conflict budget is fixed, so total
@@ -389,7 +421,7 @@ fn run_once(spec: &FamilySpec) -> Totals {
     };
     for w in &spec.workloads {
         let budget = Budget::conflicts(spec.conflict_budget);
-        for _ in 0..spec.solves.max(1) {
+        for solve in 0..spec.solves.max(1) {
             match spec.solver {
                 SolverKind::CircuitJnode => {
                     let mut solver = Solver::new(&w.aig, SolverOptions::default());
@@ -467,8 +499,31 @@ fn run_once(spec: &FamilySpec) -> Totals {
                     }
                     totals.wall_s += start.elapsed().as_secs_f64();
                     totals.conflicts += result.stats.sweep_conflicts;
-                    totals.nodes_before += result.stats.nodes_before as u64;
-                    totals.nodes_after += result.stats.nodes_after as u64;
+                    totals.propagations += result.stats.sweep_propagations;
+                    totals.decisions += result.stats.sweep_decisions;
+                    // Node counts size the family; they are not work, so
+                    // the repeats do not add up.
+                    if solve == 0 {
+                        totals.nodes_before += result.stats.nodes_before as u64;
+                        totals.nodes_after += result.stats.nodes_after as u64;
+                    }
+                }
+                SolverKind::CircuitExplicit => {
+                    let sim = SimulationOptions {
+                        threads: 1,
+                        ..SimulationOptions::default()
+                    };
+                    let correlations = find_correlations(&w.aig, &sim);
+                    let mut solver = Solver::new(&w.aig, SolverOptions::with_implicit_learning());
+                    solver.set_correlations(&correlations);
+                    let start = Instant::now();
+                    explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+                    let _ = solver.solve_with_budget(w.objective, &budget);
+                    totals.wall_s += start.elapsed().as_secs_f64();
+                    let stats = solver.stats();
+                    totals.conflicts += stats.conflicts;
+                    totals.propagations += stats.propagations;
+                    totals.decisions += stats.decisions;
                 }
                 SolverKind::SweepFresh => {
                     let checks = sweep_checks(&w.aig);
@@ -571,14 +626,8 @@ fn row_json(r: &SolveRow) -> String {
 }
 
 fn rows_json(rows: &[SolveRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&row_json(r));
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
+    let rows: Vec<String> = rows.iter().map(row_json).collect();
+    format!("[\n    {}\n  ]", rows.join(",\n    "))
 }
 
 fn find<'a>(
@@ -593,29 +642,24 @@ fn find<'a>(
 
 impl PerfReport {
     /// Renders the document, including a `comparison` section (speedups vs
-    /// the baseline) when a baseline is present.
+    /// the baseline) when a baseline is present: one top-level field per
+    /// line and one row per line.
     pub fn to_json(&self) -> String {
-        let mut o = JsonObject::new();
-        o.field_u64("host_cpus", self.host_cpus);
+        let mut fields = vec![format!("\"host_cpus\": {}", self.host_cpus)];
         if !self.baseline.is_empty() {
             let mut b = JsonObject::new();
             b.field_str("note", &self.baseline_note)
                 .field_raw("rows", &rows_json(&self.baseline));
-            o.field_raw("baseline", &b.finish());
+            fields.push(format!("\"baseline\": {}", b.finish()));
         }
-        o.field_raw("rows", &rows_json(&self.rows));
+        fields.push(format!("\"rows\": {}", rows_json(&self.rows)));
         if !self.baseline.is_empty() {
-            let mut cmp = String::from("[\n");
-            let mut first = true;
-            for r in &self.rows {
-                let Some(b) = find(&self.baseline, &r.family, &r.solver, r.threads) else {
-                    continue;
-                };
-                if let (Some(base_ns), Some(ns)) = (b.ns_per_conflict, r.ns_per_conflict) {
-                    if !first {
-                        cmp.push_str(",\n");
-                    }
-                    first = false;
+            let cmp: Vec<String> = self
+                .rows
+                .iter()
+                .filter_map(|r| {
+                    let b = find(&self.baseline, &r.family, &r.solver, r.threads)?;
+                    let (base_ns, ns) = (b.ns_per_conflict?, r.ns_per_conflict?);
                     let mut c = JsonObject::new();
                     c.field_str("family", &r.family)
                         .field_str("solver", &r.solver)
@@ -624,25 +668,15 @@ impl PerfReport {
                         .field_f64("ns_per_conflict", ns)
                         .field_f64("speedup", base_ns / ns)
                         .field_f64("props_per_sec_ratio", r.props_per_sec / b.props_per_sec);
-                    cmp.push_str("    ");
-                    cmp.push_str(&c.finish());
-                }
-            }
-            cmp.push_str("\n  ]");
-            o.field_raw("comparison", &cmp);
+                    Some(c.finish())
+                })
+                .collect();
+            fields.push(format!(
+                "\"comparison\": [\n    {}\n  ]",
+                cmp.join(",\n    ")
+            ));
         }
-        // Pretty-ish: put the top-level fields on their own lines.
-        let body = o.finish();
-        let body = body.strip_prefix('{').unwrap_or(&body);
-        let mut out = String::from("{\n  ");
-        out.push_str(
-            body.strip_suffix('}')
-                .unwrap_or(body)
-                .replace(", \"", ",\n  \"")
-                .trim_end(),
-        );
-        out.push_str("\n}\n");
-        out
+        format!("{{\n  {}\n}}\n", fields.join(",\n  "))
     }
 
     /// Parses a document previously written by [`PerfReport::to_json`].
@@ -906,12 +940,13 @@ mod tests {
         };
         assert_eq!(compare_rows(&report, &[idle]).map(|c| c.len()), Ok(0));
         // And a measured row with no conflicts writes no rate.
-        let spec = family_specs(false)
+        let mut spec = family_specs(false)
             .into_iter()
             .find(|s| {
                 s.family == "c3540.equiv" && s.solver == SolverKind::CircuitPrep(PrepLevel::Light)
             })
             .expect("prep-light c3540.equiv row");
+        spec.solves = 1;
         let measured = measure_family(&spec, 1);
         assert_eq!(measured.conflicts, 0);
         assert_eq!(measured.ns_per_conflict, None);
@@ -1023,14 +1058,25 @@ mod tests {
 
     #[test]
     fn prep_full_rows_record_the_node_reduction() {
-        let spec = family_specs(false)
+        let mut spec = family_specs(false)
             .into_iter()
             .find(|s| {
                 s.family == "c3540.opt" && s.solver == SolverKind::CircuitPrep(PrepLevel::Full)
             })
             .expect("prep-full c3540.opt row");
+        spec.solves = 1;
         let t = run_once(&spec);
         assert!(t.nodes_before > 0);
+        // The sweep's search is counted, not only its conflicts.
+        assert!(t.conflicts > 0 && t.propagations > 0 && t.decisions > 0);
+        // Repeats add work but not nodes.
+        spec.solves = 2;
+        let twice = run_once(&spec);
+        assert_eq!(twice.conflicts, 2 * t.conflicts);
+        assert_eq!(
+            (twice.nodes_before, twice.nodes_after),
+            (t.nodes_before, t.nodes_after)
+        );
         // The acceptance bar for the prep tentpole: a restructured-variant
         // miter loses at least 30% of its nodes under full preprocessing.
         assert!(
@@ -1039,6 +1085,61 @@ mod tests {
             t.nodes_before,
             t.nodes_after
         );
+    }
+
+    #[test]
+    fn explicit_rows_time_the_pass_outside_the_quick_subset() {
+        let full = family_specs(false);
+        for family in ["c3540.opt", "c6288.opt"] {
+            let spec = full
+                .iter()
+                .find(|s| s.family == family && s.solver == SolverKind::CircuitExplicit)
+                .unwrap_or_else(|| panic!("missing {family} circuit-explicit row"));
+            assert_eq!(SolverKind::CircuitExplicit.label(), "circuit-explicit");
+            assert!(!spec.quick);
+        }
+        let mut spec = full
+            .into_iter()
+            .find(|s| s.family == "c3540.opt" && s.solver == SolverKind::CircuitExplicit)
+            .expect("row");
+        spec.solves = 1;
+        let t = run_once(&spec);
+        assert!(t.conflicts > 0 && t.wall_s > 0.0);
+    }
+
+    #[test]
+    fn rows_are_written_one_per_line() {
+        let report = PerfReport {
+            host_cpus: 2,
+            baseline_note: "frozen, \"quoted\"".to_string(),
+            baseline: vec![row("a", "cnf", 1000.0), row("b", "cnf", 1000.0)],
+            rows: vec![row("a", "cnf", 900.0), row("b", "cnf", 800.0)],
+        };
+        let text = report.to_json();
+        let lines: Vec<&str> = text.lines().collect();
+        let row_lines: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| l.starts_with("    {"))
+            .collect();
+        // Two baseline rows, two rows, two comparisons: each a whole
+        // object on its own line.
+        assert_eq!(row_lines.len(), 6, "{text}");
+        for line in row_lines {
+            let object = line.trim().trim_end_matches(',');
+            assert!(json::parse(object).is_ok(), "{line}");
+        }
+        for field in ["host_cpus", "baseline", "rows", "comparison"] {
+            let key = format!("  \"{field}\": ");
+            assert_eq!(
+                lines.iter().filter(|l| l.starts_with(&key)).count(),
+                1,
+                "{text}"
+            );
+        }
+        let back = PerfReport::from_json(&text).expect("round trip");
+        assert_eq!(back.baseline_note, report.baseline_note);
+        assert_eq!((back.baseline.len(), back.rows.len()), (2, 2));
     }
 
     #[test]

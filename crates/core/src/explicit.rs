@@ -116,27 +116,57 @@ pub struct ExplicitReport {
 /// pair yields the *full* equivalence as learned gates — which is what lets
 /// later sub-problems, higher in the topological order, treat the pair as
 /// interchangeable (the incremental cascade of Section II-A).
-fn subproblem_assumptions(c: &Correlation) -> Vec<Vec<Lit>> {
-    if c.is_constant() {
-        match c.relation {
-            // s ≈ 0: try s = 1.
-            Relation::Equal => vec![vec![Lit::new(c.a, false)]],
-            // s ≈ 1: try s = 0.
-            Relation::Opposite => vec![vec![Lit::new(c.a, true)]],
+#[derive(Clone, Copy, Debug)]
+struct Orientations {
+    lits: [[Lit; 2]; 2],
+    /// Orientations in use, and literals in each: 1 for a constant
+    /// correlation, 2 for a pair.
+    n: usize,
+}
+
+impl Orientations {
+    fn of(c: &Correlation) -> Orientations {
+        if c.is_constant() {
+            // s ≈ 0: try s = 1; s ≈ 1: try s = 0.
+            let lit = Lit::new(c.a, c.relation == Relation::Opposite);
+            Orientations {
+                lits: [[lit; 2]; 2],
+                n: 1,
+            }
+        } else {
+            let (a, b) = (Lit::new(c.a, false), Lit::new(c.b, false));
+            let lits = match c.relation {
+                // s_a ≈ s_b: try s_a = 1, s_b = 0, then s_a = 0, s_b = 1.
+                Relation::Equal => [[a, !b], [!a, b]],
+                // s_a ≈ ¬s_b: try both equal-value orientations.
+                Relation::Opposite => [[a, b], [!a, !b]],
+            };
+            Orientations { lits, n: 2 }
         }
-    } else {
-        match c.relation {
-            // s_a ≈ s_b: try s_a = 1, s_b = 0, then s_a = 0, s_b = 1.
-            Relation::Equal => vec![
-                vec![Lit::new(c.a, false), Lit::new(c.b, true)],
-                vec![Lit::new(c.a, true), Lit::new(c.b, false)],
-            ],
-            // s_a ≈ ¬s_b: try both equal-value orientations.
-            Relation::Opposite => vec![
-                vec![Lit::new(c.a, false), Lit::new(c.b, false)],
-                vec![Lit::new(c.a, true), Lit::new(c.b, true)],
-            ],
-        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Lit]> {
+        self.lits[..self.n].iter().map(|o| &o[..self.n])
+    }
+}
+
+/// Explicit cores recorded so far, flat, for rebuilding a panicked solver.
+#[derive(Debug, Default)]
+struct RecordedCores {
+    lits: Vec<Lit>,
+    /// End of each core in `lits`.
+    ends: Vec<usize>,
+}
+
+impl RecordedCores {
+    fn push(&mut self, clause: &[Lit]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len());
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Lit]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.lits[s..e])
     }
 }
 
@@ -222,8 +252,7 @@ where
     let start = Instant::now();
     let mut report = ExplicitReport::default();
     let selected = select_and_order(solver, correlations, options);
-    // Cores recorded so far, for rebuilding a panicked solver.
-    let mut recorded: Vec<Vec<Lit>> = Vec::new();
+    let mut recorded = RecordedCores::default();
     'outer: for c in selected {
         if let Some(token) = &outer.cancel {
             if token.is_cancelled() {
@@ -257,9 +286,9 @@ where
         let mut any_abort = false;
         let mut panicked = false;
         let mut stop: Option<Interrupt> = None;
-        for assumptions in subproblem_assumptions(&c) {
+        for assumptions in Orientations::of(&c).iter() {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                solver.solve_under(&assumptions, &sub_budget, &mut *obs)
+                solver.solve_under(assumptions, &sub_budget, &mut *obs)
             }));
             match result {
                 Err(_payload) => {
@@ -284,11 +313,13 @@ where
                     }
                     _ => any_abort = true,
                 },
-                Ok(SubVerdict::UnsatUnderAssumptions(core)) => {
+                Ok(SubVerdict::UnsatUnderAssumptions(mut clause)) => {
                     // The refuted combination is circuit-implied knowledge:
                     // record its negation as a learned clause.
-                    let clause: Vec<Lit> = core.iter().map(|&l| !l).collect();
-                    recorded.push(clause.clone());
+                    for l in &mut clause {
+                        *l = !*l;
+                    }
+                    recorded.push(&clause);
                     let added = solver.add_learned_clause(clause);
                     debug_assert!(added.is_ok(), "refuted core literals are in range");
                 }
@@ -336,7 +367,7 @@ where
 fn recover_solver(
     solver: &mut Solver<'_>,
     correlations: &CorrelationResult,
-    recorded: &[Vec<Lit>],
+    recorded: &RecordedCores,
 ) {
     let proof_was_active = solver.proof_active();
     solver.rebuild();
@@ -344,8 +375,8 @@ fn recover_solver(
     if proof_was_active {
         solver.start_proof();
     } else {
-        for clause in recorded {
-            let added = solver.add_learned_clause(clause.clone());
+        for clause in recorded.iter() {
+            let added = solver.add_learned_clause(clause.to_vec());
             debug_assert!(added.is_ok(), "recorded cores are in range");
         }
     }
@@ -402,34 +433,66 @@ mod tests {
     #[test]
     fn assumptions_pick_conflicting_values() {
         use csat_netlist::NodeId;
+        let (s9, s4) = (NodeId::from_index(9), NodeId::from_index(4));
         let pair_eq = Correlation {
-            a: NodeId::from_index(9),
-            b: NodeId::from_index(4),
+            a: s9,
+            b: s4,
             relation: Relation::Equal,
         };
-        let orientations = subproblem_assumptions(&pair_eq);
         // First orientation: s9 = 1, s4 = 0; second is the mirror image.
         assert_eq!(
-            orientations,
-            vec![
-                vec![
-                    Lit::new(NodeId::from_index(9), false),
-                    Lit::new(NodeId::from_index(4), true),
-                ],
-                vec![
-                    Lit::new(NodeId::from_index(9), true),
-                    Lit::new(NodeId::from_index(4), false),
-                ],
+            Orientations::of(&pair_eq).iter().collect::<Vec<_>>(),
+            [
+                &[Lit::new(s9, false), Lit::new(s4, true)][..],
+                &[Lit::new(s9, true), Lit::new(s4, false)][..],
             ]
         );
+        let pair_opp = Correlation {
+            relation: Relation::Opposite,
+            ..pair_eq
+        };
+        assert_eq!(
+            Orientations::of(&pair_opp).iter().collect::<Vec<_>>(),
+            [
+                &[Lit::new(s9, false), Lit::new(s4, false)][..],
+                &[Lit::new(s9, true), Lit::new(s4, true)][..],
+            ]
+        );
+        let s7 = NodeId::from_index(7);
         let const_zero = Correlation {
-            a: NodeId::from_index(7),
+            a: s7,
             b: NodeId::FALSE,
             relation: Relation::Equal,
         };
         assert_eq!(
-            subproblem_assumptions(&const_zero),
-            vec![vec![Lit::new(NodeId::from_index(7), false)]]
+            Orientations::of(&const_zero).iter().collect::<Vec<_>>(),
+            [&[Lit::new(s7, false)][..]]
+        );
+        let const_one = Correlation {
+            relation: Relation::Opposite,
+            ..const_zero
+        };
+        assert_eq!(
+            Orientations::of(&const_one).iter().collect::<Vec<_>>(),
+            [&[Lit::new(s7, true)][..]]
+        );
+    }
+
+    #[test]
+    fn recorded_cores_read_back_in_order() {
+        let lit = |i: usize| Lit::new(csat_netlist::NodeId::from_index(i), i % 2 == 0);
+        let mut cores = RecordedCores::default();
+        assert_eq!(cores.iter().count(), 0);
+        cores.push(&[lit(3), lit(4)]);
+        cores.push(&[lit(5)]);
+        cores.push(&[lit(6), lit(7), lit(8)]);
+        assert_eq!(
+            cores.iter().collect::<Vec<_>>(),
+            [
+                &[lit(3), lit(4)][..],
+                &[lit(5)][..],
+                &[lit(6), lit(7), lit(8)][..]
+            ]
         );
     }
 

@@ -54,6 +54,10 @@ use crate::options::{Budget, SolverOptions, Stats, SubVerdict, Verdict};
 /// outside the solver's circuit.
 pub type LitOutOfRange = csat_search::LitOutOfRange<Lit>;
 
+/// Trail position marking a J-flag flip that stays out of the undo log:
+/// one made while propagating at level 0, which no backtrack undoes.
+const UNLOGGED: u32 = u32::MAX;
+
 /// A free literal of an unsatisfied learned clause, queued as a decision
 /// candidate (learned gates are J-nodes, paper Section IV-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,6 +99,14 @@ struct CircuitState {
     cand_count: Vec<u32>,
     /// Total number of unjustified gates (zero = everything justified).
     unjustified_total: u64,
+    /// Undo log of the J-flag flips made above decision level 0, in
+    /// propagation order: `(trail position of the literal whose
+    /// propagation flipped the flag, gate)`. A backtrack pops the flips at
+    /// or past its target position (DESIGN.md §5f).
+    jlog: Vec<(u32, u32)>,
+    /// Backtrack scratch: the `(position, gate)` flips undone that left
+    /// their gate unjustified again.
+    revived: Vec<(u32, u32)>,
     /// VSIDS heap over J-node input candidates (C-SAT-Jnode mode).
     jheap: ActivityHeap,
     /// Free literals of unsatisfied learned clauses, as lazy candidates.
@@ -123,6 +135,8 @@ impl CircuitState {
             jnode_flag: vec![false; n],
             cand_count: vec![0; n],
             unjustified_total: 0,
+            jlog: Vec::new(),
+            revived: Vec::new(),
             jheap: ActivityHeap::with_capacity(n),
             clause_cands: BinaryHeap::new(),
             clause_queued: Vec::new(),
@@ -165,6 +179,36 @@ impl CircuitState {
             }
         }
     }
+
+    /// Sets gate `g`'s J-flag to `now`, a change, and moves the candidate
+    /// counters with it.
+    #[inline]
+    fn set_jflag(&mut self, g: usize, a: Lit, b: Lit, now: bool) {
+        self.jnode_flag[g] = now;
+        if now {
+            self.unjustified_total += 1;
+            for lit in [a, b] {
+                self.cand_count[lit.node().index()] += 1;
+            }
+        } else {
+            self.unjustified_total -= 1;
+            for lit in [a, b] {
+                self.cand_count[lit.node().index()] -= 1;
+            }
+        }
+    }
+
+    /// Queues the unassigned fanins of a gate that just turned
+    /// unjustified as decision candidates, `a` before `b`.
+    #[inline]
+    fn queue_free_fanins(&mut self, ctx: &SearchContext<Lit>, a: Lit, b: Lit) {
+        for lit in [a, b] {
+            let n = lit.node().index();
+            if ctx.value(n) == UNDEF {
+                self.jheap.insert(n as u32, ctx.activity());
+            }
+        }
+    }
 }
 
 /// Builds the kernel context that matches [`CircuitState::new`]: one
@@ -200,11 +244,14 @@ struct CircuitPropagator<'a> {
 
 impl CircuitPropagator<'_> {
     /// Applies the implication table to one gate, implying through
-    /// [`Reason::External`] with the gate index as the explain token.
+    /// [`Reason::External`] with the gate index as the explain token. A
+    /// J-flag flip is logged against trail position `log` (see
+    /// [`Self::refresh_gate_to`]).
     fn propagate_gate(
         &mut self,
         ctx: &mut SearchContext<Lit>,
         g: NodeId,
+        log: u32,
     ) -> Result<(), Conflict<Lit>> {
         let (a, b) = match self.aig.node(g) {
             Node::And(a, b) => (a, b),
@@ -221,7 +268,7 @@ impl CircuitPropagator<'_> {
         if acts.is_empty() {
             if self.state.jnode_decisions {
                 let now = is_unjustified(vo, va, vb);
-                self.refresh_gate_to(ctx, g, a, b, now);
+                self.refresh_gate_to(ctx, g, a, b, now, log);
             }
             return Ok(());
         }
@@ -241,43 +288,44 @@ impl CircuitPropagator<'_> {
                 break;
             }
         }
-        self.refresh_gate(ctx, g, a, b);
+        self.refresh_gate(ctx, g, a, b, log);
         result
     }
 
     /// Recomputes the J-node status of one gate and maintains the
     /// candidate counters and heap. Called whenever one of the gate's pins
     /// changes value.
-    fn refresh_gate(&mut self, ctx: &SearchContext<Lit>, g: NodeId, a: Lit, b: Lit) {
+    fn refresh_gate(&mut self, ctx: &SearchContext<Lit>, g: NodeId, a: Lit, b: Lit, log: u32) {
         if !self.state.jnode_decisions {
             return;
         }
         let now = is_unjustified(ctx.value(g.index()), ctx.lit_value(a), ctx.lit_value(b));
-        self.refresh_gate_to(ctx, g, a, b, now);
+        self.refresh_gate_to(ctx, g, a, b, now, log);
     }
 
     /// [`Self::refresh_gate`] with the J-node status already computed from
-    /// pin values the caller holds.
+    /// pin values the caller holds. A flip is recorded in the undo log
+    /// under `log`, the trail position of the literal being propagated,
+    /// unless `log` is [`UNLOGGED`].
     #[inline]
-    fn refresh_gate_to(&mut self, ctx: &SearchContext<Lit>, g: NodeId, a: Lit, b: Lit, now: bool) {
+    fn refresh_gate_to(
+        &mut self,
+        ctx: &SearchContext<Lit>,
+        g: NodeId,
+        a: Lit,
+        b: Lit,
+        now: bool,
+        log: u32,
+    ) {
         if now == self.state.jnode_flag[g.index()] {
             return;
         }
-        self.state.jnode_flag[g.index()] = now;
+        self.state.set_jflag(g.index(), a, b, now);
+        if log != UNLOGGED {
+            self.state.jlog.push((log, g.index() as u32));
+        }
         if now {
-            self.state.unjustified_total += 1;
-            for lit in [a, b] {
-                let n = lit.node().index();
-                self.state.cand_count[n] += 1;
-                if ctx.value(n) == UNDEF {
-                    self.state.jheap.insert(n as u32, ctx.activity());
-                }
-            }
-        } else {
-            self.state.unjustified_total -= 1;
-            for lit in [a, b] {
-                self.state.cand_count[lit.node().index()] -= 1;
-            }
+            self.state.queue_free_fanins(ctx, a, b);
         }
     }
 
@@ -466,6 +514,33 @@ impl CircuitPropagator<'_> {
         }
         None
     }
+
+    /// The backtrack the undo log replaced, kept as the reference the
+    /// unit tests check every backtrack against: re-evaluates the gate of
+    /// every unassigned node and every gate in its fanout list, then
+    /// re-exposes each unassigned node that still feeds an unjustified
+    /// gate.
+    #[cfg(test)]
+    fn rescan_backtrack(&mut self, ctx: &SearchContext<Lit>, unassigned: &[Lit]) {
+        if !self.state.jnode_decisions {
+            return;
+        }
+        for &lit in unassigned {
+            let node = lit.node();
+            if let Node::And(a, b) = self.aig.node(node) {
+                self.refresh_gate(ctx, node, a, b, UNLOGGED);
+            }
+            for i in self.state.fanouts.bounds(node.index()) {
+                let g = self.state.fanouts.at(i);
+                if let Node::And(a, b) = self.aig.node(g) {
+                    self.refresh_gate(ctx, g, a, b, UNLOGGED);
+                }
+            }
+            if self.state.cand_count[node.index()] > 0 {
+                self.state.jheap.insert(node.index() as u32, ctx.activity());
+            }
+        }
+    }
 }
 
 impl Propagator for CircuitPropagator<'_> {
@@ -477,9 +552,17 @@ impl Propagator for CircuitPropagator<'_> {
         p: Lit,
     ) -> Result<(), Conflict<Lit>> {
         let node = p.node();
+        // J-flag flips above level 0 are logged against `p`'s trail
+        // position, so a backtrack undoes exactly the ones past its target;
+        // level-0 flips are never undone.
+        let log = if ctx.decision_level() > 0 {
+            ctx.position(node.index())
+        } else {
+            UNLOGGED
+        };
         // The node itself, if it is an AND gate whose output changed.
         if self.aig.node(node).is_and() {
-            self.propagate_gate(ctx, node)?;
+            self.propagate_gate(ctx, node, log)?;
         }
         // Gates this node feeds: one contiguous CSR stream. Warm the next
         // gate's node-table line while the current one propagates — the
@@ -492,7 +575,7 @@ impl Propagator for CircuitPropagator<'_> {
                 let next = self.state.fanouts.at(i + 1);
                 prefetch_read(&self.aig.nodes()[next.index()]);
             }
-            self.propagate_gate(ctx, g)?;
+            self.propagate_gate(ctx, g, log)?;
         }
         Ok(())
     }
@@ -570,27 +653,51 @@ impl Propagator for CircuitPropagator<'_> {
         }
     }
 
+    /// Restores the J-frontier of the backtrack target from the undo log,
+    /// in time proportional to the flips undone, then replays the J-heap
+    /// insertions of a full rescan around `unassigned` in the rescan's
+    /// order (DESIGN.md §5f has why both are exact).
     fn on_backtrack(&mut self, ctx: &SearchContext<Lit>, unassigned: &[Lit]) {
         if !self.state.jnode_decisions {
             return;
         }
-        // Recompute J-node status around every unassigned node and
-        // re-expose node candidates for gates that stayed unjustified.
-        for &lit in unassigned {
-            let node = lit.node();
-            if let Node::And(a, b) = self.aig.node(node) {
-                self.refresh_gate(ctx, node, a, b);
+        let target = ctx.trail().len() as u32;
+        let state = &mut *self.state;
+        let mut revived = std::mem::take(&mut state.revived);
+        revived.clear();
+        while let Some(&(pos, g)) = state.jlog.last() {
+            if pos < target {
+                break;
             }
-            for i in self.state.fanouts.bounds(node.index()) {
-                let g = self.state.fanouts.at(i);
-                if let Node::And(a, b) = self.aig.node(g) {
-                    self.refresh_gate(ctx, g, a, b);
-                }
-            }
-            if self.state.cand_count[node.index()] > 0 {
-                self.state.jheap.insert(node.index() as u32, ctx.activity());
+            state.jlog.pop();
+            let Node::And(a, b) = self.aig.node(NodeId::from_index(g as usize)) else {
+                unreachable!("J-flags live on AND gates")
+            };
+            let now = !state.jnode_flag[g as usize];
+            state.set_jflag(g as usize, a, b, now);
+            if now {
+                revived.push((pos, g));
             }
         }
+        // A gate that turned unjustified and then justified again within
+        // the undone stretch ends justified: only a lone justification
+        // undone revives a gate. Its logged position is that of its
+        // earliest fanin unassigned here — where a rescan would meet it.
+        revived.retain(|&(_, g)| state.jnode_flag[g as usize]);
+        revived.sort_unstable();
+        let mut next = revived.iter().peekable();
+        for (pos, lit) in (target..).zip(unassigned) {
+            while let Some(&(_, g)) = next.next_if(|&&(p, _)| p == pos) {
+                if let Node::And(a, b) = self.aig.node(NodeId::from_index(g as usize)) {
+                    state.queue_free_fanins(ctx, a, b);
+                }
+            }
+            let node = lit.node().index();
+            if state.cand_count[node] > 0 {
+                state.jheap.insert(node as u32, ctx.activity());
+            }
+        }
+        state.revived = revived;
     }
 
     fn on_learned(&mut self, ctx: &SearchContext<Lit>, cref: u32) {
@@ -1203,6 +1310,247 @@ mod tests {
                 (a, b) => panic!("grown {a:?} vs fresh {b:?}"),
             }
         }
+    }
+
+    /// The circuit propagator with every backtrack checked against the
+    /// rescan the undo log replaced, run on a copy of the state from
+    /// before the backtrack.
+    struct RescanChecked<'a> {
+        inner: CircuitPropagator<'a>,
+        /// Backtracks checked.
+        backtracks: u64,
+        /// Backtracks that revived a gate (the replay queued fanins).
+        revivals: u64,
+    }
+
+    impl<'a> RescanChecked<'a> {
+        fn new(inner: CircuitPropagator<'a>) -> RescanChecked<'a> {
+            RescanChecked {
+                inner,
+                backtracks: 0,
+                revivals: 0,
+            }
+        }
+    }
+
+    impl Propagator for RescanChecked<'_> {
+        type Lit = Lit;
+
+        fn propagate_literal(
+            &mut self,
+            ctx: &mut SearchContext<Lit>,
+            p: Lit,
+        ) -> Result<(), Conflict<Lit>> {
+            self.inner.propagate_literal(ctx, p)
+        }
+
+        fn explain(&self, ctx: &SearchContext<Lit>, of: Lit, token: u32, out: &mut Vec<Lit>) {
+            self.inner.explain(ctx, of, token, out)
+        }
+
+        fn pick_decision(&mut self, ctx: &mut SearchContext<Lit>) -> Option<(Lit, bool)> {
+            self.inner.pick_decision(ctx)
+        }
+
+        fn extract_model(&self, ctx: &SearchContext<Lit>) -> Vec<bool> {
+            self.inner.extract_model(ctx)
+        }
+
+        fn on_solve_start(&mut self, ctx: &mut SearchContext<Lit>) {
+            self.inner.on_solve_start(ctx)
+        }
+
+        fn on_implications(&mut self, ctx: &SearchContext<Lit>, from: usize) {
+            self.inner.on_implications(ctx, from)
+        }
+
+        fn on_backtrack(&mut self, ctx: &SearchContext<Lit>, unassigned: &[Lit]) {
+            let mut reference = self.inner.state.clone();
+            CircuitPropagator {
+                aig: self.inner.aig,
+                state: &mut reference,
+            }
+            .rescan_backtrack(ctx, unassigned);
+            self.inner.on_backtrack(ctx, unassigned);
+            let got = &*self.inner.state;
+            assert_eq!(got.jnode_flag, reference.jnode_flag, "J-flags");
+            assert_eq!(got.cand_count, reference.cand_count, "candidate counts");
+            assert_eq!(got.unjustified_total, reference.unjustified_total);
+            assert_eq!(
+                format!("{:?}", got.jheap),
+                format!("{:?}", reference.jheap),
+                "J-heap contents and layout"
+            );
+            self.backtracks += 1;
+            self.revivals += u64::from(!got.revived.is_empty());
+        }
+
+        fn on_learned(&mut self, ctx: &SearchContext<Lit>, cref: u32) {
+            self.inner.on_learned(ctx, cref)
+        }
+
+        fn on_bump(&mut self, ctx: &SearchContext<Lit>, var: usize) {
+            self.inner.on_bump(ctx, var)
+        }
+    }
+
+    /// [`Solver::solve_under`] through [`RescanChecked`]; adds the checked
+    /// backtracks and revivals to `counts`.
+    fn checked_solve(
+        s: &mut Solver<'_>,
+        assumptions: &[Lit],
+        budget: &Budget,
+        counts: &mut (u64, u64),
+    ) -> SubVerdict {
+        s.commit_structure();
+        let assumptions = s.scopes.with(assumptions, s.aig.len());
+        let mut prop = RescanChecked::new(CircuitPropagator {
+            aig: &s.aig,
+            state: &mut s.state,
+        });
+        let verdict = solve_under(
+            &mut s.ctx,
+            &mut prop,
+            &assumptions,
+            budget,
+            &mut NoOpObserver,
+        );
+        counts.0 += prop.backtracks;
+        counts.1 += prop.revivals;
+        verdict.into()
+    }
+
+    /// [`Solver::add_learned_clause`] through [`RescanChecked`].
+    fn checked_ingest(s: &mut Solver<'_>, clause: Vec<Lit>) {
+        let (ctx, inner) = s.parts();
+        let added = ingest_clause(ctx, &mut RescanChecked::new(inner), clause);
+        assert!(added.is_ok());
+    }
+
+    #[test]
+    fn undo_log_matches_the_rescan_on_random_solves() {
+        use csat_netlist::generators;
+        use csat_netlist::miter;
+        use csat_sim::{find_correlations, SimulationOptions};
+        use csat_types::RestartPolicy;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut instances: Vec<(Aig, Lit)> = (0..8u64)
+            .map(|seed| {
+                let g = generators::random_logic(seed, 10, 200, 2);
+                let objective = g.outputs()[0].1;
+                (g, objective)
+            })
+            .collect();
+        for m in [
+            miter::self_miter(&generators::ripple_carry_adder(5), Default::default()),
+            miter::self_miter(&generators::array_multiplier(4), Default::default()),
+            miter::build(
+                &generators::ripple_carry_adder(5),
+                &generators::carry_lookahead_adder(5),
+                Default::default(),
+            ),
+        ] {
+            instances.push((m.aig, m.objective));
+        }
+        let sim = SimulationOptions {
+            words: 2,
+            threads: 1,
+            ..SimulationOptions::default()
+        };
+        let mut counts = (0u64, 0u64);
+        let (mut restarts, mut reductions) = (0u64, 0u64);
+        for (k, &(ref aig, objective)) in instances.iter().enumerate() {
+            for implicit in [false, true] {
+                let mut options = SolverOptions {
+                    implicit_learning: implicit,
+                    ..SolverOptions::default()
+                };
+                if k % 2 == 1 {
+                    options.search.restart = RestartPolicy::Luby { unit: 4 };
+                }
+                let mut s = Solver::new(aig, options);
+                let correlations = find_correlations(aig, &sim);
+                s.set_correlations(&correlations);
+                // Explicit-learning-style sub-problems: assumption pairs
+                // under a learned-gate budget, refuted cores ingested.
+                let mut rng = StdRng::seed_from_u64(k as u64);
+                let n = aig.len();
+                for _ in 0..40 {
+                    let lit = |rng: &mut StdRng| {
+                        Lit::new(NodeId::from_index(rng.gen_range(1..n)), rng.gen_bool(0.5))
+                    };
+                    let pair = [lit(&mut rng), lit(&mut rng)];
+                    let verdict = checked_solve(&mut s, &pair, &Budget::learned(10), &mut counts);
+                    if let SubVerdict::UnsatUnderAssumptions(core) = verdict {
+                        checked_ingest(&mut s, core.iter().map(|&l| !l).collect());
+                    }
+                }
+                // Scoped assumptions, then the objective under a memory
+                // bound that forces database reductions.
+                s.push();
+                s.assume(!objective);
+                let _ = checked_solve(&mut s, &[], &Budget::conflicts(200), &mut counts);
+                s.pop();
+                let tight = Budget {
+                    max_memory_bytes: Some(2_000),
+                    max_conflicts: Some(3_000),
+                    ..Budget::UNLIMITED
+                };
+                let _ = checked_solve(&mut s, &[objective], &tight, &mut counts);
+                restarts += s.stats().restarts;
+                reductions += s.stats().deleted_clauses;
+            }
+        }
+        let (backtracks, revivals) = counts;
+        assert!(backtracks > 2_000, "{backtracks} backtracks checked");
+        assert!(revivals > 0, "no backtrack revived a gate");
+        assert!(
+            restarts > 0 && reductions > 0,
+            "{restarts} restarts, {reductions} deleted"
+        );
+    }
+
+    #[test]
+    fn backtrack_revives_a_gate_whose_justifying_fanin_is_undone() {
+        use csat_search::{backtrack, propagate};
+
+        let mut aig = Aig::new();
+        let x = aig.input();
+        let y = aig.input();
+        let g = aig.and(x, y);
+        let mut s = Solver::new(&aig, SolverOptions::default());
+        let (ctx, inner) = s.parts();
+        let mut prop = RescanChecked::new(inner);
+        assert!(propagate(ctx, &mut prop).is_none());
+        // Level 1: g = 0 leaves g unjustified, both fanins candidates.
+        ctx.push_decision_level();
+        ctx.enqueue(!g, Reason::Decision).unwrap();
+        assert!(propagate(ctx, &mut prop).is_none());
+        let gate = g.node().index();
+        assert!(prop.inner.state.jnode_flag[gate]);
+        // Level 2: a decision takes the candidates off the heap and sets
+        // x = 0, which justifies g.
+        while prop.inner.state.jheap.pop(ctx.activity()).is_some() {}
+        ctx.push_decision_level();
+        ctx.enqueue(!x, Reason::Decision).unwrap();
+        assert!(propagate(ctx, &mut prop).is_none());
+        assert!(!prop.inner.state.jnode_flag[gate]);
+        // Undoing x = 0 keeps g's 0 output: g is unjustified again and
+        // both fanins are queued, x first (checked against the rescan).
+        backtrack(ctx, &mut prop, 1);
+        assert_eq!((prop.backtracks, prop.revivals), (1, 1));
+        let state = &mut *prop.inner.state;
+        assert!(state.jnode_flag[gate]);
+        assert_eq!(state.unjustified_total, 1);
+        assert_eq!(state.cand_count[x.node().index()], 1);
+        let order: Vec<u32> = std::iter::from_fn(|| state.jheap.pop(ctx.activity())).collect();
+        assert_eq!(
+            order,
+            [x.node().index() as u32, y.node().index() as u32],
+            "fanins re-queued in the rescan's order"
+        );
     }
 
     #[test]

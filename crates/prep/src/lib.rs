@@ -137,6 +137,10 @@ pub struct PrepStats {
     pub undecided: usize,
     /// Conflicts spent by the sweeping solver.
     pub sweep_conflicts: u64,
+    /// Trail literals the sweeping solver propagated.
+    pub sweep_propagations: u64,
+    /// Decisions the sweeping solver made.
+    pub sweep_decisions: u64,
     /// Passes completed (strash = 1, prune = 2, sim = 3, sweep = 4).
     pub passes: u32,
     /// Set when the outer budget interrupted the pipeline; the returned
@@ -520,7 +524,10 @@ impl PrepPipeline {
                 }
             }
         }
-        stats.sweep_conflicts = solver.stats().conflicts;
+        let sweep = solver.stats();
+        stats.sweep_conflicts = sweep.conflicts;
+        stats.sweep_propagations = sweep.propagations;
+        stats.sweep_decisions = sweep.decisions;
         obs.record(SolverEvent::NodesMerged {
             nodes: stats.merged as u64,
         });

@@ -722,23 +722,20 @@ pub fn ingest_clause<P: Propagator>(
     if lits.windows(2).any(|w| w[0] == !w[1]) {
         return Ok(()); // tautology
     }
-    // Drop literals false at level 0; a satisfied clause is dropped.
-    let mut filtered = Vec::with_capacity(lits.len());
-    for &l in &lits {
-        match ctx.lit_value(l) {
-            TRUE => return Ok(()),
-            FALSE => {}
-            _ => filtered.push(l),
-        }
+    // A clause satisfied at level 0 is dropped; literals false there are
+    // filtered out in place.
+    if lits.iter().any(|&l| ctx.lit_value(l) == TRUE) {
+        return Ok(());
     }
+    lits.retain(|&l| ctx.lit_value(l) != FALSE);
     if let Some(log) = &mut ctx.proof_log {
-        log.push(filtered.clone());
+        log.push(lits.clone());
     }
-    match filtered.len() {
+    match lits.len() {
         0 => ctx.root_conflict = true,
         1 => {
             let mark = ctx.trail.len();
-            match ctx.enqueue(filtered[0], Reason::Axiom) {
+            match ctx.enqueue(lits[0], Reason::Axiom) {
                 Err(_) => ctx.root_conflict = true,
                 Ok(()) => {
                     prop.on_implications(ctx, mark);
@@ -749,7 +746,7 @@ pub fn ingest_clause<P: Propagator>(
             }
         }
         _ => {
-            let cref = ctx.attach_clause(&filtered, true, u32::MAX);
+            let cref = ctx.attach_clause(&lits, true, u32::MAX);
             prop.on_learned(ctx, cref);
         }
     }

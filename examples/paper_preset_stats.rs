@@ -1,12 +1,13 @@
 //! Prints per-instance verdicts and search statistics for the paper preset
 //! (and the default J-node preset) over a deterministic instance suite.
 //!
-//! This is the refactor-parity harness: run it before and after a change to
-//! the search kernel and diff the output. Any drift in verdicts, conflicts
-//! or decisions under default options is a behavior change.
+//! This is the refactor-parity harness. Its output is checked in as
+//! `tests/data/paper_preset_stats.txt`, and `scripts/ci.sh kernel-parity`
+//! fails on any difference from it: drift in verdicts, conflicts or
+//! decisions under default options is a behavior change.
 //!
 //! ```sh
-//! cargo run --release --example paper_preset_stats
+//! cargo run --release --example paper_preset_stats | diff tests/data/paper_preset_stats.txt -
 //! ```
 
 use csat_core::{Solver, SolverOptions};

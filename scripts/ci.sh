@@ -36,6 +36,13 @@ run_kernel_parity() {
     # these 300 instances of its own.
     cargo run --release --bin csat-fuzz -- \
         --seed 1 --iters 300 --matrix quick --corpus-dir fuzz/corpus
+    # And bit-identity of the circuit search: the paper-preset harness's
+    # verdicts and conflict/decision/propagation/restart counts must match
+    # the checked-in output line for line. A change that alters the search
+    # on purpose regenerates the file and says why.
+    local stats
+    stats=$(cargo run --release --example paper_preset_stats)
+    diff -u tests/data/paper_preset_stats.txt - <<<"$stats"
 }
 run_incremental() {
     # Incremental-session differential: 300 seed-0 random trajectories of
