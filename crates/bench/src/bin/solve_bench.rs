@@ -12,14 +12,16 @@
 //!   budgets, so rows compare 1:1). Does not write the file.
 //! * `solve_bench --check` — quick-measure and compare host-adjusted
 //!   ns/conflict (each row's over its calibration loop time) against the
-//!   checked-in `rows`; exit 1 on a >15% regression, or when a checked-in
-//!   row has no loop time (regenerate the file). This is the
-//!   `scripts/ci.sh perf-smoke` gate.
+//!   checked-in `rows`; a row over the threshold is measured once more,
+//!   after a pause, with doubled repetitions. Exit 1 on a >15% regression
+//!   that persists, or when a checked-in row has no loop time (regenerate
+//!   the file). This is the `scripts/ci.sh perf-smoke` gate.
 //!
 //! An optional trailing path overrides the default `BENCH_solve.json` in
 //! the repo root / current directory.
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 use csat_bench::perf::{
     compare_rows, family_specs, measure_family, percent_delta, PerfReport, SolveRow,
@@ -27,6 +29,12 @@ use csat_bench::perf::{
 };
 
 const DEFAULT_REPS: usize = 3;
+
+/// How long `--check` waits before re-measuring a row over the threshold.
+/// Back to back, the scan row has read 5–33% over its checked-in figure
+/// while the calibration loop moved 9%: a slow spell outlasts a re-measure
+/// that follows at once.
+const RETRY_PAUSE: Duration = Duration::from_secs(20);
 
 fn main() -> ExitCode {
     let mut quick = false;
@@ -114,15 +122,22 @@ fn main() -> ExitCode {
         // The checked-in rows were read above, so comparing again succeeds.
         let compare = |rows: &[SolveRow]| compare_rows(&report, rows).expect("rows read above");
         // A single noisy window on a shared host can spike one family past
-        // the threshold. Before declaring a regression, re-measure the
-        // offending family once with doubled repetitions and keep the best
-        // — a real regression reproduces, a scheduler hiccup does not.
+        // the threshold. Before declaring a regression, wait out the spell
+        // and re-measure the offending family once with doubled repetitions,
+        // keeping the best — a real regression reproduces, a slow spell
+        // does not.
         let retry: Vec<String> = cmp
             .iter()
             .filter(|c| c.regressed())
             .map(|c| format!("{}/{}", c.family, c.solver))
             .collect();
         if !retry.is_empty() {
+            eprintln!(
+                "perf-smoke: {} over the threshold; pausing {} s before re-measuring",
+                retry.join(", "),
+                RETRY_PAUSE.as_secs()
+            );
+            std::thread::sleep(RETRY_PAUSE);
             for spec in &specs {
                 let key = format!("{}/{}", spec.family, spec.solver.label());
                 if !retry.contains(&key) {

@@ -35,7 +35,7 @@ use csat_telemetry::json::{self, Json, JsonObject};
 use csat_telemetry::NoOpObserver;
 
 use crate::workload::{
-    c6288_opt, equiv_suite, opt_suite, scan_suite, sweep_workload, Scale, Workload,
+    c6288_opt, equiv_suite, mul12_opt, opt_suite, scan_suite, sweep_workload, Scale, Workload,
 };
 
 /// Which solver a perf row drives.
@@ -338,6 +338,19 @@ pub fn family_specs(quick: bool) -> Vec<FamilySpec> {
             });
         }
     }
+    // The serve-mix miter family that sets that workload's latency tail:
+    // its full preprocessing folds the miter to a constant, so the row
+    // times the sweep (read it by `wall_s`: when the sweep proves less by
+    // search its conflict count falls and its ns/conflict rises).
+    specs.push(FamilySpec {
+        family: "mul12.opt",
+        solver: SolverKind::CircuitPrep(PrepLevel::Full),
+        threads: 1,
+        workloads: vec![mul12_opt()],
+        conflict_budget: 20_000,
+        solves: 10,
+        quick: false,
+    });
     // Explicit learning, the layer `cec` spends most of an equivalence
     // check in, on a multiply-accumulate and a multiplier `.opt` miter.
     for (family, workloads, solves) in [
@@ -659,15 +672,20 @@ impl PerfReport {
                 .iter()
                 .filter_map(|r| {
                     let b = find(&self.baseline, &r.family, &r.solver, r.threads)?;
-                    let (base_ns, ns) = (b.ns_per_conflict?, r.ns_per_conflict?);
                     let mut c = JsonObject::new();
                     c.field_str("family", &r.family)
                         .field_str("solver", &r.solver)
-                        .field_u64("threads", r.threads)
-                        .field_f64("baseline_ns_per_conflict", base_ns)
-                        .field_f64("ns_per_conflict", ns)
-                        .field_f64("speedup", base_ns / ns)
-                        .field_f64("props_per_sec_ratio", r.props_per_sec / b.props_per_sec);
+                        .field_u64("threads", r.threads);
+                    if let (Some(base_ns), Some(ns)) = (b.ns_per_conflict, r.ns_per_conflict) {
+                        c.field_f64("baseline_ns_per_conflict", base_ns)
+                            .field_f64("ns_per_conflict", ns)
+                            .field_f64("speedup", base_ns / ns)
+                            .field_f64("props_per_sec_ratio", r.props_per_sec / b.props_per_sec);
+                    }
+                    // Wall time is what a prep row is read by: a sweep that
+                    // proves more without search spends fewer conflicts, so
+                    // its ns/conflict rises as it gets faster.
+                    c.field_f64("wall_speedup", b.wall_s / r.wall_s.max(1e-12));
                     Some(c.finish())
                 })
                 .collect();
@@ -1048,6 +1066,12 @@ mod tests {
                 );
             }
         }
+        assert!(
+            full.iter()
+                .any(|s| s.family == "mul12.opt"
+                    && s.solver == SolverKind::CircuitPrep(PrepLevel::Full)),
+            "missing the serve-mix miter family's prep-full row"
+        );
         // Prep rows stay out of the quick perf-smoke subset: its
         // regression threshold is tuned for the search hot loops, not for
         // pipeline-dominated end-to-end times.

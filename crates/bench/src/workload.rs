@@ -111,6 +111,18 @@ pub fn c6288_opt(scale: Scale) -> Workload {
     )
 }
 
+/// A 12×12 array multiplier against a restructured variant: the miter
+/// family that `csat-serve` jobs send with full preprocessing in the
+/// end-to-end benchmark's serve-mix workload.
+pub fn mul12_opt() -> Workload {
+    let circuit = generators::array_multiplier(12);
+    let variant = optimize::restructure_seeded(&circuit, 0x3B7);
+    Workload::unsat(
+        "mul12.opt",
+        miter::build_fresh(&circuit, &variant, MiterStyle::OrDifference),
+    )
+}
+
 /// `*.equiv` miters: two identical copies of each circuit (paper §IV-B),
 /// including the multiplier.
 pub fn equiv_suite(scale: Scale) -> Vec<Workload> {

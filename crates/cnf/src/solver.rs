@@ -1129,4 +1129,120 @@ mod tests {
             "sticky root conflict"
         );
     }
+
+    /// The full scan `SearchContext::simplify_satisfied_at_root` ran before
+    /// it tracked what changed: every live, unpinned clause of more than
+    /// two literals with a literal true at the root that is not the reason
+    /// of its first literal. Ingested (pinned) clauses carry glue
+    /// `u32::MAX`.
+    fn full_scan_victims(ctx: &SearchContext<Lit>) -> Vec<u32> {
+        (0..ctx.num_clause_refs())
+            .filter(|&cref| {
+                if ctx.clause_is_deleted(cref) || ctx.clause_glue(cref) == u32::MAX {
+                    return false;
+                }
+                let lits = ctx.clause_lits(cref);
+                let locked = ctx.lit_value(lits[0]) == TRUE
+                    && ctx.reason(lits[0].var().index()) == Reason::Learned(cref);
+                lits.len() > 2 && !locked && lits.iter().any(|&l| ctx.lit_value(l) == TRUE)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn simplify_matches_the_full_scan_on_random_runs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let tight = Budget {
+            max_memory_bytes: Some(2_000),
+            max_conflicts: Some(1_500),
+            ..Budget::UNLIMITED
+        };
+        // (calls, calls after the root trail grew, calls that deleted)
+        let mut checks = (0u64, 0u64, 0u64);
+        let mut ingested = 0u64;
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 100u32;
+            let mut cnf = Cnf::with_vars(n as usize);
+            for _ in 0..420 {
+                let clause = (0..3)
+                    .map(|_| Lit::new(Var(rng.gen_range(0..n)), rng.gen_bool(0.5)))
+                    .collect();
+                cnf.add_clause(clause);
+            }
+            let mut options = SolverOptions::default();
+            if seed % 2 == 1 {
+                options.search.restart = RestartPolicy::Luby { unit: 4 };
+            }
+            let mut s = Solver::new(&cnf, options);
+            let mut last_root = 0;
+            let lit = |s: &Solver, rng: &mut StdRng| {
+                Lit::new(
+                    Var(rng.gen_range(0..s.num_vars() as u32)),
+                    rng.gen_bool(0.5),
+                )
+            };
+            for _ in 0..60 {
+                // `simplify` checked against the full scan on a clone of
+                // the root state it starts from.
+                s.reset();
+                let reference = s.ctx.clone();
+                let victims = full_scan_victims(&reference);
+                s.simplify(&mut NoOpObserver);
+                let deleted: Vec<u32> = (0..reference.num_clause_refs())
+                    .filter(|&c| s.ctx.clause_is_deleted(c) && !reference.clause_is_deleted(c))
+                    .collect();
+                assert_eq!(deleted, victims, "seed {seed}: deleted clauses");
+                let k = victims.len() as u64;
+                let (got, then) = (s.ctx.stats(), reference.stats());
+                assert_eq!(got.deleted_clauses, then.deleted_clauses + k);
+                assert_eq!(got.learnt_clauses, then.learnt_clauses - k);
+                checks.0 += 1;
+                checks.1 += u64::from(reference.trail().len() > last_root);
+                checks.2 += u64::from(k > 0);
+                last_root = reference.trail().len();
+
+                match rng.gen_range(0..10) {
+                    // Growth: a fresh variable in a clause over old ones.
+                    0 | 1 => {
+                        let v = s.add_var();
+                        let clause = vec![v.positive(), lit(&s, &mut rng), lit(&s, &mut rng)];
+                        s.add_clause(clause).expect("in range");
+                    }
+                    // The whole formula under a memory bound: database
+                    // reductions, and with them arena compaction.
+                    2 => {
+                        let _ = s.solve_under(&[], &tight, &mut NoOpObserver);
+                    }
+                    // Scoped assumptions.
+                    3 => {
+                        s.push();
+                        s.assume(lit(&s, &mut rng));
+                        let _ = s.solve_under(&[], &Budget::conflicts(200), &mut NoOpObserver);
+                        s.pop();
+                    }
+                    // Assumption checks; refuted cores are ingested, and a
+                    // refuted single literal becomes a root unit.
+                    _ => {
+                        let pair = [lit(&s, &mut rng), lit(&s, &mut rng)];
+                        let v = s.solve_under(&pair, &Budget::conflicts(300), &mut NoOpObserver);
+                        if let SubVerdict::UnsatUnderAssumptions(core) = v {
+                            ingested += 1;
+                            let clause = core.iter().map(|&l| !l).collect();
+                            s.add_learned_clause(clause).expect("in range");
+                        }
+                    }
+                }
+            }
+        }
+        let (calls, after_growth, deleting) = checks;
+        assert!(ingested > 0, "no refuted core was ingested");
+        assert!(
+            after_growth > 0 && after_growth < calls,
+            "{after_growth} of {calls} calls after root growth"
+        );
+        assert!(deleting > 0, "no call deleted a clause");
+    }
 }

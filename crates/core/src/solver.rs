@@ -1553,6 +1553,132 @@ mod tests {
         );
     }
 
+    /// The full scan `SearchContext::simplify_satisfied_at_root` ran before
+    /// it tracked what changed: every live, unpinned clause of more than
+    /// two literals with a literal true at the root that is not the reason
+    /// of its first literal. Ingested (pinned) clauses carry glue
+    /// `u32::MAX`.
+    fn full_scan_victims(ctx: &SearchContext<Lit>) -> Vec<u32> {
+        (0..ctx.num_clause_refs())
+            .filter(|&cref| {
+                if ctx.clause_is_deleted(cref) || ctx.clause_glue(cref) == u32::MAX {
+                    return false;
+                }
+                let lits = ctx.clause_lits(cref);
+                let locked = ctx.lit_value(lits[0]) == TRUE
+                    && ctx.reason(lits[0].node().index()) == Reason::Learned(cref);
+                lits.len() > 2 && !locked && lits.iter().any(|&l| ctx.lit_value(l) == TRUE)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn simplify_matches_the_full_scan_on_random_runs() {
+        use csat_netlist::generators;
+        use csat_netlist::miter;
+        use csat_types::RestartPolicy;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut instances: Vec<(Aig, Lit)> = (0..6u64)
+            .map(|seed| {
+                let g = generators::random_logic(seed, 10, 200, 2);
+                let objective = g.outputs()[0].1;
+                (g, objective)
+            })
+            .collect();
+        for m in [
+            miter::self_miter(&generators::array_multiplier(4), Default::default()),
+            miter::build(
+                &generators::ripple_carry_adder(5),
+                &generators::carry_lookahead_adder(5),
+                Default::default(),
+            ),
+        ] {
+            instances.push((m.aig, m.objective));
+        }
+        let tight = Budget {
+            max_memory_bytes: Some(2_000),
+            max_conflicts: Some(1_500),
+            ..Budget::UNLIMITED
+        };
+        // (calls, calls after the root trail grew, calls that deleted)
+        let mut checks = (0u64, 0u64, 0u64);
+        let mut ingested = 0u64;
+        for (k, &(ref aig, objective)) in instances.iter().enumerate() {
+            let mut options = SolverOptions::default();
+            if k % 2 == 1 {
+                options.search.restart = RestartPolicy::Luby { unit: 4 };
+            }
+            let mut s = Solver::new(aig, options);
+            let mut last_root = 0;
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let lit = |s: &Solver<'_>, rng: &mut StdRng| {
+                let n = s.aig().len();
+                Lit::new(NodeId::from_index(rng.gen_range(1..n)), rng.gen_bool(0.5))
+            };
+            for _ in 0..60 {
+                // `simplify` checked against the full scan on a clone of
+                // the root state it starts from.
+                s.reset();
+                s.commit_structure();
+                let reference = s.ctx.clone();
+                let victims = full_scan_victims(&reference);
+                s.simplify(&mut NoOpObserver);
+                let deleted: Vec<u32> = (0..reference.num_clause_refs())
+                    .filter(|&c| s.ctx.clause_is_deleted(c) && !reference.clause_is_deleted(c))
+                    .collect();
+                assert_eq!(deleted, victims, "instance {k}: deleted clauses");
+                let n = victims.len() as u64;
+                let (got, then) = (s.ctx.stats(), reference.stats());
+                assert_eq!(got.deleted_clauses, then.deleted_clauses + n);
+                assert_eq!(got.learnt_clauses, then.learnt_clauses - n);
+                checks.0 += 1;
+                checks.1 += u64::from(reference.trail().len() > last_root);
+                checks.2 += u64::from(n > 0);
+                last_root = reference.trail().len();
+
+                match rng.gen_range(0..10) {
+                    // Growth: a gate over two existing signals.
+                    0 | 1 => {
+                        let (a, b) = (lit(&s, &mut rng), lit(&s, &mut rng));
+                        s.add_and(a, b);
+                    }
+                    // The objective under a memory bound: database
+                    // reductions, and with them arena compaction.
+                    2 => {
+                        let _ = s.solve_under(&[objective], &tight, &mut NoOpObserver);
+                    }
+                    // Scoped assumptions.
+                    3 => {
+                        s.push();
+                        s.assume(lit(&s, &mut rng));
+                        let _ = s.solve_under(&[], &Budget::conflicts(200), &mut NoOpObserver);
+                        s.pop();
+                    }
+                    // Sweep-style checks; refuted cores are ingested, and
+                    // a refuted single literal becomes a root unit.
+                    _ => {
+                        let pair = [lit(&s, &mut rng), lit(&s, &mut rng)];
+                        let v = s.solve_under(&pair, &Budget::conflicts(300), &mut NoOpObserver);
+                        if let SubVerdict::UnsatUnderAssumptions(core) = v {
+                            ingested += 1;
+                            let clause = core.iter().map(|&l| !l).collect();
+                            assert!(s.add_learned_clause(clause).is_ok());
+                        }
+                    }
+                }
+            }
+        }
+        let (calls, after_growth, deleting) = checks;
+        assert!(ingested > 0, "no refuted core was ingested");
+        assert!(
+            after_growth > 0 && after_growth < calls,
+            "{after_growth} of {calls} calls after root growth"
+        );
+        assert!(deleting > 0, "no call deleted a clause");
+    }
+
     #[test]
     fn budget_aborts_surface_after_growth() {
         // Budget checkpoints fire at decisions, so the instance must need

@@ -19,9 +19,11 @@
 //!    patterns and over counterexample patterns harvested from refuted
 //!    candidates.
 //! 4. **SAT sweeping** — candidates are proven on one incremental
-//!    [`csat_core::Solver`] under a per-candidate conflict budget;
-//!    proven-equivalent nodes are rewritten onto their representatives
-//!    and the survivors re-strashed (a final dead-cone sweep included).
+//!    [`csat_core::Solver`] under a per-candidate conflict budget, unless
+//!    the merges before them already make the pair one gate; every merge
+//!    stays in the solver as two binary clauses. Proven-equivalent nodes
+//!    are rewritten onto their representatives and the survivors
+//!    re-strashed (a final dead-cone sweep included).
 //!
 //! [`PrepLevel::Light`] runs passes 1–2 only; [`PrepLevel::Full`] runs
 //! all four. Every pass is function-preserving on the preserved roots, so
@@ -130,6 +132,10 @@ pub struct PrepStats {
     pub candidates: usize,
     /// Candidates proven and merged.
     pub merged: usize,
+    /// Of `merged`, the merges made with no SAT call: the later node is an
+    /// AND whose fanins, resolved through the merges before it, are its
+    /// target's.
+    pub structural: usize,
     /// Candidates refuted by a counterexample.
     pub refuted: usize,
     /// Candidates skipped: the per-candidate budget ran out, or a
@@ -476,45 +482,56 @@ impl PrepPipeline {
             stats.candidates += 1;
             let target = resolve(&proven, Lit::new(earlier, c.relation == Relation::Opposite));
             let l = later.lit();
-            // Counterexample refinement: a pattern that already
-            // distinguishes the pair refutes it without solving.
-            if counterexamples
+            let outcome = if same_gate(aig, &proven, later, target) {
+                stats.structural += 1;
+                CandidateOutcome::Proven
+            } else if counterexamples
                 .iter()
                 .any(|values| lit_of(values, l) != lit_of(values, target))
             {
-                stats.undecided += 1;
-                continue;
-            }
-            // Prove l == target by refuting both difference orientations.
-            let mut outcome = CandidateOutcome::Proven;
-            for assumptions in [[l, !target], [!l, target]] {
-                solver.simplify(&mut *obs);
-                match solver.solve_under(&assumptions, &per_candidate, &mut *obs) {
-                    SubVerdict::Sat(model) => {
-                        counterexamples.push(aig.evaluate(&model));
-                        outcome = CandidateOutcome::Refuted;
-                        break;
-                    }
-                    SubVerdict::Unsat | SubVerdict::UnsatUnderAssumptions(_) => {}
-                    SubVerdict::Aborted(reason) => {
-                        outcome = match reason {
-                            // The per-candidate proof budget: give up on
-                            // this pair, keep sweeping.
-                            Interrupt::Conflicts | Interrupt::Decisions | Interrupt::Learned => {
-                                CandidateOutcome::Undecided
-                            }
-                            // The outer budget (cancel, deadline, memory
-                            // pressure): stop the whole sweep cleanly.
-                            _ => CandidateOutcome::Interrupted(reason),
-                        };
-                        break;
+                // Counterexample refinement: a pattern that already
+                // distinguishes the pair refutes it without solving.
+                CandidateOutcome::Undecided
+            } else {
+                // Prove l == target by refuting both difference orientations.
+                let mut outcome = CandidateOutcome::Proven;
+                for assumptions in [[l, !target], [!l, target]] {
+                    solver.simplify(&mut *obs);
+                    match solver.solve_under(&assumptions, &per_candidate, &mut *obs) {
+                        SubVerdict::Sat(model) => {
+                            counterexamples.push(aig.evaluate(&model));
+                            outcome = CandidateOutcome::Refuted;
+                            break;
+                        }
+                        SubVerdict::Unsat | SubVerdict::UnsatUnderAssumptions(_) => {}
+                        SubVerdict::Aborted(reason) => {
+                            outcome = match reason {
+                                // The per-candidate proof budget: give up on
+                                // this pair, keep sweeping.
+                                Interrupt::Conflicts
+                                | Interrupt::Decisions
+                                | Interrupt::Learned => CandidateOutcome::Undecided,
+                                // The outer budget (cancel, deadline, memory
+                                // pressure): stop the whole sweep cleanly.
+                                _ => CandidateOutcome::Interrupted(reason),
+                            };
+                            break;
+                        }
                     }
                 }
-            }
+                outcome
+            };
             match outcome {
                 CandidateOutcome::Proven => {
                     proven[later.index()] = Some(target);
                     stats.merged += 1;
+                    // Keep the merge, as explicit learning keeps a refuted
+                    // core: later checks propagate through it instead of
+                    // proving it again.
+                    for clause in [vec![!l, target], vec![l, !target]] {
+                        let kept = solver.add_learned_clause(clause);
+                        debug_assert!(kept.is_ok(), "sweep literals are the solver's nodes");
+                    }
                 }
                 CandidateOutcome::Refuted => stats.refuted += 1,
                 CandidateOutcome::Undecided => stats.undecided += 1,
@@ -564,6 +581,21 @@ fn budget_for_candidate(outer: &Budget, proof_conflicts: u64) -> Budget {
 /// Evaluates a literal against a node-value vector.
 fn lit_of(values: &[bool], l: Lit) -> bool {
     values[l.node().index()] ^ l.is_complemented()
+}
+
+/// True when `later` is an AND whose fanins, resolved through the merges
+/// so far, are the fanins of `target`, an uncomplemented AND: the two
+/// compute the same function, and merging them needs no SAT call.
+fn same_gate(aig: &Aig, proven: &[Option<Lit>], later: NodeId, target: Lit) -> bool {
+    if target.is_complemented() {
+        return false;
+    }
+    let (Node::And(a, b), Node::And(c, d)) = (aig.node(later), aig.node(target.node())) else {
+        return false;
+    };
+    let (a, b) = (resolve(proven, a), resolve(proven, b));
+    let (c, d) = (resolve(proven, c), resolve(proven, d));
+    (a, b) == (c, d) || (a, b) == (d, c)
 }
 
 /// Follows proven-equivalence links to the final representative.
@@ -861,6 +893,59 @@ mod tests {
         assert_eq!(metrics.nodes_merged as usize, result.stats.merged);
         assert!(metrics.cones_pruned > 0);
         assert!(metrics.sim_rounds > 0, "simulation events flow through");
+    }
+
+    /// Cancels a token at the sweep's `at`-th check (each check starts
+    /// with a `simplify`, which reports `ClausesRetained`).
+    struct CancelAtCheck {
+        token: CancelToken,
+        at: u32,
+        checks: u32,
+    }
+
+    impl Observer for CancelAtCheck {
+        fn record(&mut self, event: SolverEvent) {
+            if let SolverEvent::ClausesRetained { .. } = event {
+                self.checks += 1;
+                if self.checks == self.at {
+                    self.token.cancel();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_merges_what_earlier_merges_make_one_gate() {
+        let base = generators::array_multiplier(6);
+        let variant = optimize::restructure_seeded(&base, 0x5EED);
+        let m = miter::build_fresh(&base, &variant, Default::default());
+        let pipeline = PrepPipeline::with_level(PrepLevel::Full);
+        let result = pipeline.run(&m.aig, &[m.objective]);
+        let s = &result.stats;
+        assert!(
+            s.structural > 0 && s.structural < s.merged,
+            "{} of {} merges structural",
+            s.structural,
+            s.merged
+        );
+        assert_eq!(result.map_lit(m.objective), Some(Lit::FALSE));
+        assert_eq!(s.candidates, s.merged + s.refuted + s.undecided);
+
+        // Cancelled partway, the sweep keeps the merges made so far.
+        let token = CancelToken::new();
+        let mut obs = CancelAtCheck {
+            token: token.clone(),
+            at: 20,
+            checks: 0,
+        };
+        let budget = Budget::UNLIMITED.with_cancel(token);
+        let cut = pipeline.run_under(&m.aig, &[m.objective], &budget, &mut obs);
+        let c = &cut.stats;
+        assert_eq!(c.interrupted, Some(Interrupt::Cancelled));
+        assert!(0 < c.merged && c.merged < s.merged, "{} merged", c.merged);
+        // Only the candidate whose proof the cancel cut has no outcome.
+        assert!(c.candidates - (c.merged + c.refuted + c.undecided) <= 1);
+        assert!(root_equivalent(&m.aig, &cut, m.objective));
     }
 
     #[test]

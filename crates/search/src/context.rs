@@ -345,6 +345,12 @@ pub struct SearchContext<L> {
     /// Bound on `export_buf` so a fast learner cannot grow it without
     /// limit when its peers stop draining; overflow drops new exports.
     pub(crate) export_max: usize,
+    /// Root-trail length and clause-ref count when
+    /// [`SearchContext::simplify_satisfied_at_root`] last finished: with
+    /// no root literal added since, only clauses from `simplified_refs` on
+    /// can have become deletable.
+    pub(crate) simplified_trail: usize,
+    pub(crate) simplified_refs: u32,
 }
 
 impl<L: SearchLit> SearchContext<L> {
@@ -397,6 +403,8 @@ impl<L: SearchLit> SearchContext<L> {
             export_glue_cap: 0,
             export_len_cap: 0,
             export_max: 0,
+            simplified_trail: 0,
+            simplified_refs: 0,
         }
     }
 
@@ -456,10 +464,24 @@ impl<L: SearchLit> SearchContext<L> {
     /// of a standing assignment) are kept. Must be called at decision
     /// level 0; incremental callers run it between solves so retained
     /// state does not accumulate dead weight.
+    ///
+    /// The cost is proportional to what changed since the last call: all
+    /// clauses when the root trail has grown, otherwise only the clauses
+    /// attached since. Skipping the rest is exact. A clause the last call
+    /// kept was unsatisfied at the root or locked. Root literals are never
+    /// undone, so with no new one an unsatisfied clause stays unsatisfied,
+    /// and a reason clause keeps its root literal in slot 0, so a locked
+    /// clause stays locked. Crefs survive compaction, so "attached since"
+    /// is a cref range.
     pub fn simplify_satisfied_at_root(&mut self) -> u64 {
         debug_assert_eq!(self.decision_level(), 0, "simplify only at the root level");
+        let first = if self.trail.len() > self.simplified_trail {
+            0
+        } else {
+            self.simplified_refs
+        };
         let mut dropped = 0u64;
-        for cref in 0..self.headers.len() as u32 {
+        for cref in first..self.headers.len() as u32 {
             let h = self.headers[cref as usize];
             if h.is_deleted() || h.is_pinned() || h.len <= 2 {
                 continue;
@@ -484,6 +506,8 @@ impl<L: SearchLit> SearchContext<L> {
         if dropped > 0 {
             self.maybe_compact();
         }
+        self.simplified_trail = self.trail.len();
+        self.simplified_refs = self.headers.len() as u32;
         dropped
     }
 

@@ -92,8 +92,10 @@ run_perf_smoke() {
     # rows, so they compare 1:1) and fail on a >15% regression of
     # ns/conflict adjusted for host speed (each row over the time of a
     # fixed calibration loop taken in the same run). Shared CI runners
-    # are noisy — take the best of extra repetitions to keep the gate
-    # stable.
+    # are noisy — take the best of extra repetitions, and re-measure a
+    # row over the threshold once more, with doubled repetitions, after
+    # a 20-s pause: a slow spell outlasts a re-measure that follows at
+    # once. The threshold stays 15%.
     cargo run --release -p csat-bench --bin solve_bench -- --check --reps 5
 }
 run_perfbench() {

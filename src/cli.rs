@@ -224,14 +224,16 @@ pub fn solve(options: &Options, request: &Request<'_>) -> Result<Verdict, ExitCo
 fn print_report(options: &Options, report: &Report) {
     if let Some(s) = &report.prep {
         eprintln!(
-            "c prep({}): {} -> {} nodes ({} folded, {} pruned, {} of {} candidates merged)",
+            "c prep({}): {} -> {} nodes ({} folded, {} pruned, {} of {} candidates merged, \
+             {} structurally)",
             options.prep.name(),
             s.nodes_before,
             s.nodes_after,
             s.strash_folded,
             s.cones_pruned,
             s.merged,
-            s.candidates
+            s.candidates,
+            s.structural
         );
         if let Some(reason) = s.interrupted {
             eprintln!("c prep interrupted: {reason}");
