@@ -6,39 +6,37 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use csat_bench::{
-    equiv_suite, opt_suite, run_baseline, run_circuit_solver, scan_suite, vliw_suite,
-    CircuitConfig, Scale, Workload,
-};
-use csat_core::{CorrelationMode, ExplicitOptions, SubproblemOrdering};
+use csat_bench::{equiv_suite, opt_suite, run, scan_suite, vliw_suite, Scale, Workload};
+use csat_core::{CorrelationMode, ExplicitOptions, SolverOptions, SubproblemOrdering};
+use csat_pipeline::Engine;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
-#[derive(Clone, Copy)]
-enum Runner {
-    Baseline,
-    Circuit(CircuitConfig),
+/// One configuration: the engine, and the explicit pass when given.
+type Config = (Engine, Option<ExplicitOptions>);
+
+fn baseline() -> Config {
+    (Engine::Cnf(Default::default()), None)
 }
 
-fn bench_workload(c: &mut Criterion, group: &str, w: &Workload, configs: &[(&str, Runner)]) {
+fn circuit(options: SolverOptions) -> Config {
+    (Engine::Circuit(options), None)
+}
+
+fn explicit(options: ExplicitOptions) -> Config {
+    (Engine::Circuit(SolverOptions::paper()), Some(options))
+}
+
+fn bench_workload(c: &mut Criterion, group: &str, w: &Workload, configs: &[(&str, Config)]) {
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(2));
-    for (name, runner) in configs {
+    for &(name, (engine, explicit)) in configs {
         g.bench_function(format!("{}/{name}", w.name), |b| {
             b.iter_batched(
                 || w.clone(),
-                |w| match runner {
-                    Runner::Baseline => {
-                        let r = run_baseline(&w, TIMEOUT);
-                        assert!(!r.unsound);
-                    }
-                    Runner::Circuit(config) => {
-                        let r = run_circuit_solver(&w, config);
-                        assert!(!r.unsound);
-                    }
-                },
+                |w| assert!(!run(&w, engine, explicit, TIMEOUT).unsound),
                 BatchSize::LargeInput,
             )
         });
@@ -49,14 +47,11 @@ fn bench_workload(c: &mut Criterion, group: &str, w: &Workload, configs: &[(&str
 /// Tables I & III: UNSAT equiv miters — baseline, plain, jnode, implicit.
 fn t1_t3_equiv(c: &mut Criterion) {
     let suite = equiv_suite(Scale::Quick);
-    let configs: Vec<(&str, Runner)> = vec![
-        ("zchaff", Runner::Baseline),
-        ("csat", Runner::Circuit(CircuitConfig::plain(TIMEOUT))),
-        ("jnode", Runner::Circuit(CircuitConfig::jnode(TIMEOUT))),
-        (
-            "implicit",
-            Runner::Circuit(CircuitConfig::implicit(TIMEOUT)),
-        ),
+    let configs = [
+        ("zchaff", baseline()),
+        ("csat", circuit(SolverOptions::plain_csat())),
+        ("jnode", circuit(SolverOptions::default())),
+        ("implicit", circuit(SolverOptions::paper())),
     ];
     for w in suite
         .iter()
@@ -69,12 +64,9 @@ fn t1_t3_equiv(c: &mut Criterion) {
 /// Tables II & IV: SAT VLIW-like — baseline vs implicit.
 fn t2_t4_sat(c: &mut Criterion) {
     let suite = vliw_suite(Scale::Quick, &[1, 4]);
-    let configs: Vec<(&str, Runner)> = vec![
-        ("zchaff", Runner::Baseline),
-        (
-            "implicit",
-            Runner::Circuit(CircuitConfig::implicit(TIMEOUT)),
-        ),
+    let configs = [
+        ("zchaff", baseline()),
+        ("implicit", circuit(SolverOptions::paper())),
     ];
     for w in &suite {
         bench_workload(c, "t2_t4_sat_vliw", w, &configs);
@@ -87,15 +79,12 @@ fn t5_explicit(c: &mut Criterion) {
     rows.truncate(1);
     rows.extend(opt_suite(Scale::Quick).into_iter().take(1));
     let cfg = |mode: CorrelationMode| {
-        Runner::Circuit(CircuitConfig::explicit(
-            ExplicitOptions {
-                mode,
-                ..Default::default()
-            },
-            TIMEOUT,
-        ))
+        explicit(ExplicitOptions {
+            mode,
+            ..Default::default()
+        })
     };
-    let configs: Vec<(&str, Runner)> = vec![
+    let configs = [
         ("pair", cfg(CorrelationMode::Pairs)),
         ("vs0", cfg(CorrelationMode::Constants)),
         ("both", cfg(CorrelationMode::Both)),
@@ -110,15 +99,12 @@ fn t6_ordering(c: &mut Criterion) {
     let suite = equiv_suite(Scale::Quick);
     let w = &suite[2]; // c3540.equiv: a mid-size multiplier miter
     let cfg = |ordering: SubproblemOrdering| {
-        Runner::Circuit(CircuitConfig::explicit(
-            ExplicitOptions {
-                ordering,
-                ..Default::default()
-            },
-            TIMEOUT,
-        ))
+        explicit(ExplicitOptions {
+            ordering,
+            ..Default::default()
+        })
     };
-    let configs: Vec<(&str, Runner)> = vec![
+    let configs = [
         ("topological", cfg(SubproblemOrdering::Topological)),
         ("reverse", cfg(SubproblemOrdering::Reverse)),
         ("random", cfg(SubproblemOrdering::Random(7))),
@@ -130,15 +116,12 @@ fn t6_ordering(c: &mut Criterion) {
 fn t7_t9_sat_explicit(c: &mut Criterion) {
     let suite = vliw_suite(Scale::Quick, &[7]);
     let cfg = |fraction: f64| {
-        Runner::Circuit(CircuitConfig::explicit(
-            ExplicitOptions {
-                fraction,
-                ..Default::default()
-            },
-            TIMEOUT,
-        ))
+        explicit(ExplicitOptions {
+            fraction,
+            ..Default::default()
+        })
     };
-    let configs: Vec<(&str, Runner)> = vec![("frac0.5", cfg(0.5)), ("frac1.0", cfg(1.0))];
+    let configs = [("frac0.5", cfg(0.5)), ("frac1.0", cfg(1.0))];
     for w in &suite {
         bench_workload(c, "t7_t9_sat_explicit", w, &configs);
     }
@@ -149,15 +132,12 @@ fn t8_partial(c: &mut Criterion) {
     let suite = equiv_suite(Scale::Quick);
     let w = &suite[2]; // c3540.equiv
     let cfg = |fraction: f64| {
-        Runner::Circuit(CircuitConfig::explicit(
-            ExplicitOptions {
-                fraction,
-                ..Default::default()
-            },
-            TIMEOUT,
-        ))
+        explicit(ExplicitOptions {
+            fraction,
+            ..Default::default()
+        })
     };
-    let configs: Vec<(&str, Runner)> = vec![
+    let configs = [
         ("frac0.5", cfg(0.5)),
         ("frac0.9", cfg(0.9)),
         ("frac1.0", cfg(1.0)),
@@ -168,15 +148,9 @@ fn t8_partial(c: &mut Criterion) {
 /// Table X: scan-style shallow miters — implicit vs explicit.
 fn t10_scan(c: &mut Criterion) {
     let suite = scan_suite(Scale::Quick);
-    let configs: Vec<(&str, Runner)> = vec![
-        (
-            "implicit",
-            Runner::Circuit(CircuitConfig::implicit(TIMEOUT)),
-        ),
-        (
-            "explicit",
-            Runner::Circuit(CircuitConfig::explicit(ExplicitOptions::default(), TIMEOUT)),
-        ),
+    let configs = [
+        ("implicit", circuit(SolverOptions::paper())),
+        ("explicit", explicit(ExplicitOptions::default())),
     ];
     for w in suite.iter().take(2) {
         bench_workload(c, "t10_scan", w, &configs);

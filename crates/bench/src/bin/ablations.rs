@@ -14,8 +14,9 @@
 //! ```
 
 use csat_bench::report::{parse_args, Table};
-use csat_bench::{equiv_suite, opt_suite, run_circuit_solver, CircuitConfig, LearningMode};
+use csat_bench::{equiv_suite, opt_suite, run};
 use csat_core::SolverOptions;
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -24,23 +25,14 @@ fn main() {
     let mut rows = equiv_suite(scale);
     rows.truncate(4);
     rows.extend(opt_suite(scale).into_iter().take(2));
-    let configs: Vec<(&str, SolverOptions, LearningMode)> = vec![
-        ("jnode", SolverOptions::default(), LearningMode::None),
-        (
-            "plain-vsids",
-            SolverOptions::plain_csat(),
-            LearningMode::None,
-        ),
+    let configs: Vec<(&str, SolverOptions)> = vec![
+        ("jnode", SolverOptions::default()),
+        ("plain-vsids", SolverOptions::plain_csat()),
         (
             "jnode-nomin",
             SolverOptions::builder().minimize_clauses(false).build(),
-            LearningMode::None,
         ),
-        (
-            "jnode+impl",
-            SolverOptions::with_implicit_learning(),
-            LearningMode::Implicit,
-        ),
+        ("jnode+impl", SolverOptions::with_implicit_learning()),
         (
             "norestart",
             SolverOptions::builder()
@@ -49,7 +41,6 @@ fn main() {
                     threshold: 0.0,
                 })
                 .build(),
-            LearningMode::None,
         ),
     ];
     let mut headers = vec!["circuit".to_string()];
@@ -58,14 +49,8 @@ fn main() {
     let mut table = Table::new("Ablations: solver design choices (secs)", &header_refs);
     for w in &rows {
         let mut cells = vec![w.name.clone()];
-        for (label, options, learning) in &configs {
-            let config = CircuitConfig {
-                options: *options,
-                learning: *learning,
-                simulation: Default::default(),
-                timeout,
-            };
-            let r = run_circuit_solver(w, &config);
+        for &(label, options) in &configs {
+            let r = run(w, Engine::Circuit(options), None, timeout);
             assert!(!r.unsound, "{}: unsound", r.name);
             json.add(label, &r);
             cells.push(r.time_cell());

@@ -3,7 +3,9 @@
 //! `*.equiv` miters.
 
 use csat_bench::report::{parse_args, total_cell, Table};
-use csat_bench::{equiv_suite, run_baseline, run_circuit_solver, CircuitConfig};
+use csat_bench::{equiv_suite, run};
+use csat_core::SolverOptions;
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -18,9 +20,14 @@ fn main() {
     let mut plain = Vec::new();
     let mut jnode = Vec::new();
     for w in &suite {
-        let b = run_baseline(w, timeout);
-        let p = run_circuit_solver(w, &CircuitConfig::plain(timeout));
-        let j = run_circuit_solver(w, &CircuitConfig::jnode(timeout));
+        let b = run(w, Engine::Cnf(Default::default()), None, timeout);
+        let p = run(
+            w,
+            Engine::Circuit(SolverOptions::plain_csat()),
+            None,
+            timeout,
+        );
+        let j = run(w, Engine::Circuit(SolverOptions::default()), None, timeout);
         for r in [&b, &p, &j] {
             assert!(!r.unsound, "{}: unsound verdict", r.name);
         }

@@ -5,10 +5,9 @@
 use csat_bench::report::{parse_args, total_cell, Table};
 use csat_bench::runner::format_seconds;
 use csat_bench::workload::extra_combinational;
-use csat_bench::{
-    run_baseline, run_circuit_solver, scan_suite, vliw_suite, CircuitConfig, Workload,
-};
-use csat_core::ExplicitOptions;
+use csat_bench::{run, scan_suite, vliw_suite, Workload};
+use csat_core::{ExplicitOptions, SolverOptions};
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -31,12 +30,10 @@ fn main() {
             let mut exp = Vec::new();
             let mut sim_total = 0.0;
             for w in rows {
-                let b = run_baseline(w, timeout);
-                let i = run_circuit_solver(w, &CircuitConfig::implicit(timeout));
-                let e = run_circuit_solver(
-                    w,
-                    &CircuitConfig::explicit(ExplicitOptions::default(), timeout),
-                );
+                let paper = Engine::Circuit(SolverOptions::paper());
+                let b = run(w, Engine::Cnf(Default::default()), None, timeout);
+                let i = run(w, paper, None, timeout);
+                let e = run(w, paper, Some(ExplicitOptions::default()), timeout);
                 for r in [&b, &i, &e] {
                     assert!(!r.unsound, "{}: unsound verdict", r.name);
                 }

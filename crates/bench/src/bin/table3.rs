@@ -5,7 +5,9 @@
 
 use csat_bench::report::{parse_args, total_cell, Table};
 use csat_bench::runner::format_seconds;
-use csat_bench::{equiv_suite, opt_suite, run_baseline, run_circuit_solver, CircuitConfig};
+use csat_bench::{equiv_suite, opt_suite, run};
+use csat_core::SolverOptions;
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -20,8 +22,8 @@ fn main() {
         let mut implicit = Vec::new();
         let mut sim_total = 0.0;
         for w in &suite {
-            let b = run_baseline(w, timeout);
-            let i = run_circuit_solver(w, &CircuitConfig::implicit(timeout));
+            let b = run(w, Engine::Cnf(Default::default()), None, timeout);
+            let i = run(w, Engine::Circuit(SolverOptions::paper()), None, timeout);
             for r in [&b, &i] {
                 assert!(!r.unsound, "{}: unsound verdict", r.name);
             }

@@ -5,8 +5,9 @@
 
 use csat_bench::report::{parse_args, total_cell, Table};
 use csat_bench::runner::format_seconds;
-use csat_bench::{equiv_suite, opt_suite, run_baseline, run_circuit_solver, CircuitConfig};
-use csat_core::{CorrelationMode, ExplicitOptions};
+use csat_bench::{equiv_suite, opt_suite, run, Workload};
+use csat_core::{CorrelationMode, ExplicitOptions, SolverOptions};
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -25,12 +26,16 @@ fn main() {
             "simu",
         ],
     );
-    let config = |mode: CorrelationMode| {
-        CircuitConfig::explicit(
-            ExplicitOptions {
-                mode,
-                ..Default::default()
-            },
+    let baseline = |w: &Workload| run(w, Engine::Cnf(Default::default()), None, timeout);
+    let explicit = |w: &Workload, mode: CorrelationMode| {
+        let options = ExplicitOptions {
+            mode,
+            ..Default::default()
+        };
+        run(
+            w,
+            Engine::Circuit(SolverOptions::paper()),
+            Some(options),
             timeout,
         )
     };
@@ -44,10 +49,10 @@ fn main() {
         let mut both = Vec::new();
         let mut sim_total = 0.0;
         for w in &suite {
-            let b = run_baseline(w, timeout);
-            let p = run_circuit_solver(w, &config(CorrelationMode::Pairs));
-            let z = run_circuit_solver(w, &config(CorrelationMode::Constants));
-            let both_r = run_circuit_solver(w, &config(CorrelationMode::Both));
+            let b = baseline(w);
+            let p = explicit(w, CorrelationMode::Pairs);
+            let z = explicit(w, CorrelationMode::Constants);
+            let both_r = explicit(w, CorrelationMode::Both);
             for r in [&b, &p, &z, &both_r] {
                 assert!(!r.unsound, "{}: unsound verdict", r.name);
             }
@@ -84,10 +89,10 @@ fn main() {
         ]);
         table.separator();
     }
-    let b = run_baseline(&c6288, timeout);
-    let p = run_circuit_solver(&c6288, &config(CorrelationMode::Pairs));
-    let z = run_circuit_solver(&c6288, &config(CorrelationMode::Constants));
-    let both_r = run_circuit_solver(&c6288, &config(CorrelationMode::Both));
+    let b = baseline(&c6288);
+    let p = explicit(&c6288, CorrelationMode::Pairs);
+    let z = explicit(&c6288, CorrelationMode::Constants);
+    let both_r = explicit(&c6288, CorrelationMode::Both);
     json.add("zchaff-class", &b);
     json.add("pair", &p);
     json.add("vs0", &z);

@@ -2,8 +2,9 @@
 //! topological vs reverse vs random (paper Section V-A).
 
 use csat_bench::report::{parse_args, total_cell, Table};
-use csat_bench::{equiv_suite, run_circuit_solver, CircuitConfig};
-use csat_core::{ExplicitOptions, SubproblemOrdering};
+use csat_bench::{equiv_suite, run, Workload};
+use csat_core::{ExplicitOptions, SolverOptions, SubproblemOrdering};
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -17,12 +18,15 @@ fn main() {
         "Table VI: effects from the ordering of explicit learning",
         &["circuit", "topological", "reverse", "random"],
     );
-    let config = |ordering: SubproblemOrdering| {
-        CircuitConfig::explicit(
-            ExplicitOptions {
-                ordering,
-                ..Default::default()
-            },
+    let explicit = |w: &Workload, ordering: SubproblemOrdering| {
+        let options = ExplicitOptions {
+            ordering,
+            ..Default::default()
+        };
+        run(
+            w,
+            Engine::Circuit(SolverOptions::paper()),
+            Some(options),
             timeout,
         )
     };
@@ -35,7 +39,7 @@ fn main() {
     for w in &suite {
         let mut cells = vec![w.name.clone()];
         for (k, &(label, ordering)) in orderings.iter().enumerate() {
-            let r = run_circuit_solver(w, &config(ordering));
+            let r = explicit(w, ordering);
             assert!(!r.unsound, "{}: unsound verdict", r.name);
             json.add(label, &r);
             cells.push(r.time_cell());
@@ -53,7 +57,7 @@ fn main() {
     table.separator();
     let mut cells = vec![c6288.name.clone()];
     for &(label, ordering) in &orderings {
-        let r = run_circuit_solver(&c6288, &config(ordering));
+        let r = explicit(&c6288, ordering);
         json.add(label, &r);
         cells.push(r.time_cell());
     }

@@ -4,8 +4,9 @@
 
 use csat_bench::report::{parse_args, total_cell, Table};
 use csat_bench::runner::format_seconds;
-use csat_bench::{run_baseline, run_circuit_solver, vliw_suite, CircuitConfig};
-use csat_core::ExplicitOptions;
+use csat_bench::{run, vliw_suite};
+use csat_core::{ExplicitOptions, SolverOptions};
+use csat_pipeline::Engine;
 
 fn main() {
     let args = parse_args(120);
@@ -21,13 +22,17 @@ fn main() {
             "simulation",
         ],
     );
-    let config = CircuitConfig::explicit(ExplicitOptions::default(), timeout);
     let mut base = Vec::new();
     let mut exp = Vec::new();
     let mut sim_total = 0.0;
     for w in &suite {
-        let b = run_baseline(w, timeout);
-        let e = run_circuit_solver(w, &config);
+        let b = run(w, Engine::Cnf(Default::default()), None, timeout);
+        let e = run(
+            w,
+            Engine::Circuit(SolverOptions::paper()),
+            Some(ExplicitOptions::default()),
+            timeout,
+        );
         for r in [&b, &e] {
             assert!(!r.unsound, "{}: unsound verdict", r.name);
         }

@@ -3,8 +3,9 @@
 //! participate.
 
 use csat_bench::report::{parse_args, total_cell, Table};
-use csat_bench::{equiv_suite, run_circuit_solver, CircuitConfig, Workload};
-use csat_core::ExplicitOptions;
+use csat_bench::{equiv_suite, run, Workload};
+use csat_core::{ExplicitOptions, SolverOptions};
+use csat_pipeline::Engine;
 
 const FRACTIONS: [f64; 8] = [0.1, 0.3, 0.4, 0.5, 0.7, 0.9, 0.95, 1.0];
 
@@ -30,12 +31,15 @@ fn main() {
         "Table VIII: the effect of partial learning on UNSAT cases",
         &header_refs,
     );
-    let config = |fraction: f64| {
-        CircuitConfig::explicit(
-            ExplicitOptions {
-                fraction,
-                ..Default::default()
-            },
+    let explicit = |w: &Workload, fraction: f64| {
+        let options = ExplicitOptions {
+            fraction,
+            ..Default::default()
+        };
+        run(
+            w,
+            Engine::Circuit(SolverOptions::paper()),
+            Some(options),
             timeout,
         )
     };
@@ -43,7 +47,7 @@ fn main() {
     for w in &rows {
         let mut cells = vec![w.name.clone()];
         for (k, &f) in FRACTIONS.iter().enumerate() {
-            let r = run_circuit_solver(w, &config(f));
+            let r = explicit(w, f);
             assert!(!r.unsound, "{}: unsound verdict", r.name);
             json.add(&format!("fraction-{f}"), &r);
             cells.push(r.time_cell());
@@ -60,7 +64,7 @@ fn main() {
     table.separator();
     let mut cells = vec![c6288.name.clone()];
     for &f in &FRACTIONS {
-        let r = run_circuit_solver(c6288, &config(f));
+        let r = explicit(c6288, f);
         json.add(&format!("fraction-{f}"), &r);
         cells.push(r.time_cell());
     }

@@ -2,8 +2,9 @@
 //! (paper Section V-C): on the VLIW-like instances the trend reverses.
 
 use csat_bench::report::{parse_args, total_cell, Table};
-use csat_bench::{run_circuit_solver, vliw_suite, CircuitConfig};
-use csat_core::ExplicitOptions;
+use csat_bench::{run, vliw_suite, Workload};
+use csat_core::{ExplicitOptions, SolverOptions};
+use csat_pipeline::Engine;
 
 const FRACTIONS: [f64; 5] = [0.5, 0.7, 0.8, 0.95, 1.0];
 
@@ -19,12 +20,15 @@ fn main() {
         "Table IX: the effect of partial learning on SAT cases",
         &header_refs,
     );
-    let config = |fraction: f64| {
-        CircuitConfig::explicit(
-            ExplicitOptions {
-                fraction,
-                ..Default::default()
-            },
+    let explicit = |w: &Workload, fraction: f64| {
+        let options = ExplicitOptions {
+            fraction,
+            ..Default::default()
+        };
+        run(
+            w,
+            Engine::Circuit(SolverOptions::paper()),
+            Some(options),
             timeout,
         )
     };
@@ -32,7 +36,7 @@ fn main() {
     for w in &suite {
         let mut cells = vec![w.name.clone()];
         for (k, &f) in FRACTIONS.iter().enumerate() {
-            let r = run_circuit_solver(w, &config(f));
+            let r = explicit(w, f);
             assert!(!r.unsound, "{}: unsound verdict", r.name);
             json.add(&format!("fraction-{f}"), &r);
             cells.push(r.time_cell());

@@ -17,6 +17,12 @@
 //! | Table IX   | `table9`  | partial explicit learning sweep, SAT |
 //! | Table X    | `table10` | additional SAT + scan-style UNSAT cases |
 //!
+//! Every row runs through the shipped solve pipeline: [`runner::run`]
+//! hands a workload, an engine with its options and the optional explicit
+//! pass to [`csat_pipeline::solve`], the same call `csat`, `cec` and
+//! `csat-serve` make. So the tables measure what ships, witness step
+//! included, and `--timeout` is one deadline per row.
+//!
 //! Run them with e.g. `cargo run --release -p csat-bench --bin table5 --`
 //! `[--quick] [--timeout <secs>] [--json <path>]`. `--json` additionally
 //! writes one JSONL row per run, each carrying the full telemetry metrics
@@ -35,7 +41,5 @@ pub mod runner;
 pub mod workload;
 
 pub use report::{BenchArgs, JsonReport};
-pub use runner::{
-    run_baseline, run_circuit_solver, CircuitConfig, LearningMode, RunOutcome, RunResult,
-};
+pub use runner::{run, RunOutcome, RunResult};
 pub use workload::{equiv_suite, opt_suite, scan_suite, vliw_suite, Expected, Scale, Workload};

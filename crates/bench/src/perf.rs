@@ -439,7 +439,7 @@ fn run_once(spec: &FamilySpec) -> Totals {
                 SolverKind::CircuitJnode => {
                     let mut solver = Solver::new(&w.aig, SolverOptions::default());
                     let start = Instant::now();
-                    let _ = solver.solve_with_budget(w.objective, &budget);
+                    let _ = solver.solve_observed(w.objective, &budget, &mut NoOpObserver);
                     totals.wall_s += start.elapsed().as_secs_f64();
                     let stats = solver.stats();
                     totals.conflicts += stats.conflicts;
@@ -451,7 +451,7 @@ fn run_once(spec: &FamilySpec) -> Totals {
                     let mut solver =
                         csat_cnf::Solver::new(&enc.cnf, csat_cnf::SolverOptions::default());
                     let start = Instant::now();
-                    let _ = solver.solve_with_budget(&budget);
+                    let _ = solver.solve_observed(&budget, &mut NoOpObserver);
                     totals.wall_s += start.elapsed().as_secs_f64();
                     let stats = solver.stats();
                     totals.conflicts += stats.conflicts;
@@ -504,7 +504,7 @@ fn run_once(spec: &FamilySpec) -> Totals {
                         .expect("objective is a preserved root");
                     if !mapped.is_constant() {
                         let mut solver = Solver::new(&result.reduced, SolverOptions::default());
-                        let _ = solver.solve_with_budget(mapped, &budget);
+                        let _ = solver.solve_observed(mapped, &budget, &mut NoOpObserver);
                         let stats = solver.stats();
                         totals.conflicts += stats.conflicts;
                         totals.propagations += stats.propagations;
@@ -530,8 +530,14 @@ fn run_once(spec: &FamilySpec) -> Totals {
                     let mut solver = Solver::new(&w.aig, SolverOptions::with_implicit_learning());
                     solver.set_correlations(&correlations);
                     let start = Instant::now();
-                    explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
-                    let _ = solver.solve_with_budget(w.objective, &budget);
+                    explicit::run_budgeted_observed(
+                        &mut solver,
+                        &correlations,
+                        &ExplicitOptions::default(),
+                        &Budget::UNLIMITED,
+                        &mut NoOpObserver,
+                    );
+                    let _ = solver.solve_observed(w.objective, &budget, &mut NoOpObserver);
                     totals.wall_s += start.elapsed().as_secs_f64();
                     let stats = solver.stats();
                     totals.conflicts += stats.conflicts;

@@ -1,10 +1,11 @@
-//! Solver runners with timing, timeouts and soundness checking.
+//! The table runner: one configuration on one workload, through the
+//! shipped pipeline ([`csat_pipeline::solve`]), with timing and a
+//! soundness check against the workload's ground truth.
 
 use std::time::{Duration, Instant};
 
-use csat_core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions, Verdict};
-use csat_netlist::tseitin;
-use csat_sim::{find_correlations_observed, SimulationOptions};
+use csat_core::{Budget, ExplicitOptions, Verdict};
+use csat_pipeline::{Engine, Request};
 use csat_telemetry::MetricsRecorder;
 
 use crate::workload::{Expected, Workload};
@@ -31,11 +32,12 @@ pub struct RunResult {
     pub seconds: f64,
     /// Random-simulation time in seconds (correlation discovery).
     pub sim_seconds: f64,
-    /// Number of explicit-learning sub-problems attempted, if applicable.
+    /// Number of explicit-learning sub-problems attempted, if the pass
+    /// ran.
     pub subproblems: Option<usize>,
-    /// Decisions made.
+    /// Decisions made (0 when no search ran).
     pub decisions: u64,
-    /// Conflicts analyzed.
+    /// Conflicts analyzed (0 when no search ran).
     pub conflicts: u64,
     /// True when the verdict contradicts the workload's ground truth.
     pub unsound: bool,
@@ -73,173 +75,43 @@ fn check(expected: Expected, outcome: RunOutcome) -> bool {
     )
 }
 
-/// Runs the ZChaff-class CNF baseline on the Tseitin encoding of the
-/// workload.
-pub fn run_baseline(workload: &Workload, timeout: Duration) -> RunResult {
-    let start = Instant::now();
-    let enc = tseitin::encode_with_objective(&workload.aig, workload.objective);
-    let mut solver = csat_cnf::Solver::new(&enc.cnf, csat_cnf::SolverOptions::default());
-    let mut metrics = MetricsRecorder::default();
-    let outcome = match solver.solve_observed(&Budget::time(timeout), &mut metrics) {
-        Verdict::Sat(model) => {
-            let inputs = enc.input_values(&workload.aig, &model);
-            let values = workload.aig.evaluate(&inputs);
-            assert!(
-                workload.aig.lit_value(&values, workload.objective),
-                "{}: baseline produced a bogus model",
-                workload.name
-            );
-            RunOutcome::Sat
-        }
-        Verdict::Unsat => RunOutcome::Unsat,
-        Verdict::Unknown(_) => RunOutcome::Timeout,
-    };
-    let stats = *solver.stats();
-    RunResult {
-        name: workload.name.clone(),
-        outcome,
-        seconds: start.elapsed().as_secs_f64(),
-        sim_seconds: 0.0,
-        subproblems: None,
-        decisions: stats.decisions,
-        conflicts: stats.conflicts,
-        unsound: check(workload.expected, outcome),
-        metrics,
-    }
-}
-
-/// Correlation-learning configuration for [`run_circuit_solver`].
-#[derive(Clone, Copy, Debug, Default)]
-pub enum LearningMode {
-    /// No correlation learning (simulation is skipped entirely).
-    #[default]
-    None,
-    /// Implicit learning only (paper Section IV).
-    Implicit,
-    /// Explicit learning on top of implicit (paper Section V).
-    Explicit(ExplicitOptions),
-    /// Explicit learning without the implicit component (for ablations).
-    ExplicitOnly(ExplicitOptions),
-}
-
-/// Circuit-solver configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct CircuitConfig {
-    /// Base solver options (J-node mode, decay, restarts).
-    pub options: SolverOptions,
-    /// Correlation learning mode.
-    pub learning: LearningMode,
-    /// Random-simulation engine options (batch width, threads, seed).
-    pub simulation: SimulationOptions,
-    /// Wall-clock budget for the final solve.
-    pub timeout: Duration,
-}
-
-impl CircuitConfig {
-    /// C-SAT-Jnode without correlation learning.
-    pub fn jnode(timeout: Duration) -> CircuitConfig {
-        CircuitConfig {
-            options: SolverOptions::default(),
-            learning: LearningMode::None,
-            simulation: SimulationOptions::default(),
-            timeout,
-        }
-    }
-
-    /// The paper's initial C-SAT (plain VSIDS).
-    pub fn plain(timeout: Duration) -> CircuitConfig {
-        CircuitConfig {
-            options: SolverOptions::plain_csat(),
-            learning: LearningMode::None,
-            simulation: SimulationOptions::default(),
-            timeout,
-        }
-    }
-
-    /// C-SAT-Jnode with implicit learning.
-    pub fn implicit(timeout: Duration) -> CircuitConfig {
-        CircuitConfig {
-            options: SolverOptions::with_implicit_learning(),
-            learning: LearningMode::Implicit,
-            simulation: SimulationOptions::default(),
-            timeout,
-        }
-    }
-
-    /// C-SAT-Jnode with implicit + explicit learning.
-    pub fn explicit(options: ExplicitOptions, timeout: Duration) -> CircuitConfig {
-        CircuitConfig {
-            options: SolverOptions::with_implicit_learning(),
-            learning: LearningMode::Explicit(options),
-            simulation: SimulationOptions::default(),
-            timeout,
-        }
-    }
-
-    /// The same configuration with different simulation-engine options.
-    pub fn with_simulation(mut self, simulation: SimulationOptions) -> CircuitConfig {
-        self.simulation = simulation;
-        self
-    }
-}
-
-/// Runs the circuit solver on a workload per the configuration.
+/// Runs `engine`, after the `explicit` pass when given, on a workload
+/// under one `timeout` for the whole run. The pipeline checks every SAT
+/// model against the workload's netlist.
 ///
-/// Simulation time (correlation discovery) is reported separately from
-/// solve time, matching the paper's table layout.
-pub fn run_circuit_solver(workload: &Workload, config: &CircuitConfig) -> RunResult {
-    let mut sim_seconds = 0.0;
-    let mut metrics = MetricsRecorder::default();
-    let mut solver = Solver::new(&workload.aig, config.options);
-    let correlations = match config.learning {
-        LearningMode::None => None,
-        LearningMode::Implicit | LearningMode::Explicit(_) | LearningMode::ExplicitOnly(_) => {
-            let result =
-                find_correlations_observed(&workload.aig, &config.simulation, &mut metrics);
-            sim_seconds = result.elapsed.as_secs_f64();
-            Some(result)
-        }
-    };
+/// Simulation time (correlation discovery) is reported apart from solve
+/// time, matching the paper's table layout.
+pub fn run(
+    workload: &Workload,
+    engine: Engine,
+    explicit: Option<ExplicitOptions>,
+    timeout: Duration,
+) -> RunResult {
     let start = Instant::now();
-    let mut subproblems = None;
-    match (&config.learning, &correlations) {
-        (LearningMode::Implicit, Some(c)) | (LearningMode::Explicit(_), Some(c)) => {
-            solver.set_correlations(c);
-        }
-        _ => {}
-    }
-    match (&config.learning, &correlations) {
-        (LearningMode::Explicit(opts), Some(c)) | (LearningMode::ExplicitOnly(opts), Some(c)) => {
-            let report = explicit::run_observed(&mut solver, c, opts, &mut metrics);
-            subproblems = Some(report.subproblems);
-        }
-        _ => {}
-    }
-    let verdict = solver.solve_observed(
-        workload.objective,
-        &Budget::time(config.timeout),
-        &mut metrics,
-    );
-    let outcome = match verdict {
-        Verdict::Sat(model) => {
-            let values = workload.aig.evaluate(&model);
-            assert!(
-                workload.aig.lit_value(&values, workload.objective),
-                "{}: circuit solver produced a bogus model",
-                workload.name
-            );
-            RunOutcome::Sat
-        }
+    let mut metrics = MetricsRecorder::default();
+    let request = Request {
+        engine,
+        explicit,
+        ..Request::new(&workload.aig, workload.objective)
+    };
+    let report = csat_pipeline::solve(&request, &Budget::time(timeout), &mut metrics);
+    let seconds = start.elapsed().as_secs_f64();
+    let sim_seconds = report
+        .correlations
+        .as_ref()
+        .map_or(0.0, |c| c.elapsed.as_secs_f64());
+    let outcome = match report.verdict {
+        Verdict::Sat(_) => RunOutcome::Sat,
         Verdict::Unsat => RunOutcome::Unsat,
         Verdict::Unknown(_) => RunOutcome::Timeout,
     };
-    let stats = *solver.stats();
+    let stats = report.stats.unwrap_or_default();
     RunResult {
         name: workload.name.clone(),
         outcome,
-        seconds: start.elapsed().as_secs_f64(),
+        seconds: seconds - sim_seconds,
         sim_seconds,
-        subproblems,
+        subproblems: report.explicit.map(|x| x.subproblems),
         decisions: stats.decisions,
         conflicts: stats.conflicts,
         unsound: check(workload.expected, outcome),
@@ -251,13 +123,18 @@ pub fn run_circuit_solver(workload: &Workload, config: &CircuitConfig) -> RunRes
 mod tests {
     use super::*;
     use crate::workload::{equiv_suite, vliw_suite, Scale};
+    use csat_core::SolverOptions;
 
     const T: Duration = Duration::from_secs(30);
+
+    fn baseline() -> Engine {
+        Engine::Cnf(Default::default())
+    }
 
     #[test]
     fn baseline_agrees_with_ground_truth_on_quick_equiv() {
         for w in equiv_suite(Scale::Quick).into_iter().take(2) {
-            let r = run_baseline(&w, T);
+            let r = run(&w, baseline(), None, T);
             assert!(!r.unsound, "{}: {:?}", r.name, r.outcome);
         }
     }
@@ -266,23 +143,27 @@ mod tests {
     fn circuit_solver_all_modes_on_quick_rows() {
         let suite = equiv_suite(Scale::Quick);
         let w = &suite[0];
-        for config in [
-            CircuitConfig::jnode(T),
-            CircuitConfig::plain(T),
-            CircuitConfig::implicit(T),
-            CircuitConfig::explicit(ExplicitOptions::default(), T),
+        for (options, explicit) in [
+            (SolverOptions::default(), None),
+            (SolverOptions::plain_csat(), None),
+            (SolverOptions::paper(), None),
+            (SolverOptions::paper(), Some(ExplicitOptions::default())),
         ] {
-            let r = run_circuit_solver(w, &config);
-            assert!(!r.unsound, "{}: {:?} with {config:?}", r.name, r.outcome);
+            let r = run(w, Engine::Circuit(options), explicit, T);
+            assert!(!r.unsound, "{}: {:?} with {options:?}", r.name, r.outcome);
+            // Simulation runs only for learning, and the time split adds
+            // up to a non-negative solve time.
+            assert_eq!(r.sim_seconds > 0.0, options.implicit_learning);
+            assert!(r.seconds >= 0.0);
         }
     }
 
     #[test]
     fn sat_instances_verify_models() {
         for w in vliw_suite(Scale::Quick, &[1, 2]) {
-            let r = run_circuit_solver(&w, &CircuitConfig::implicit(T));
+            let r = run(&w, Engine::Circuit(SolverOptions::paper()), None, T);
             assert_eq!(r.outcome, RunOutcome::Sat, "{}", r.name);
-            let rb = run_baseline(&w, T);
+            let rb = run(&w, baseline(), None, T);
             assert_eq!(rb.outcome, RunOutcome::Sat, "{}", rb.name);
         }
     }
@@ -290,9 +171,11 @@ mod tests {
     #[test]
     fn explicit_reports_subproblem_count() {
         let suite = equiv_suite(Scale::Quick);
-        let r = run_circuit_solver(
+        let r = run(
             &suite[0],
-            &CircuitConfig::explicit(ExplicitOptions::default(), T),
+            Engine::Circuit(SolverOptions::paper()),
+            Some(ExplicitOptions::default()),
+            T,
         );
         assert!(r.subproblems.unwrap_or(0) > 0);
     }

@@ -407,13 +407,14 @@ impl Solver {
 
     /// Runs the search with no resource limits.
     pub fn solve(&mut self) -> Verdict {
-        self.solve_with_budget(&Budget::UNLIMITED)
+        self.solve_observed(&Budget::UNLIMITED, &mut NoOpObserver)
     }
 
-    /// Runs the search under a resource [`Budget`], returning
-    /// [`Verdict::Unknown`] (carrying the exhausted [`Interrupt`] reason)
-    /// when a limit is hit — or the budget's [`CancelToken`](csat_types::CancelToken)
-    /// is triggered — before an answer.
+    /// Runs the search under a resource [`Budget`], reporting search
+    /// events to the given [`Observer`]. Returns [`Verdict::Unknown`]
+    /// (carrying the exhausted [`Interrupt`] reason) when a limit is hit —
+    /// or the budget's [`CancelToken`](csat_types::CancelToken) is
+    /// triggered — before an answer.
     ///
     /// A memory budget first tries an emergency clause-database reduction
     /// and only aborts with [`Interrupt::Memory`] if the learned clauses
@@ -421,12 +422,6 @@ impl Solver {
     ///
     /// All limits are counted per call, so a solver can be resumed with a
     /// fresh budget (learned clauses persist).
-    pub fn solve_with_budget(&mut self, budget: &Budget) -> Verdict {
-        self.solve_observed(budget, &mut NoOpObserver)
-    }
-
-    /// Like [`Solver::solve_with_budget`], reporting search events to the
-    /// given [`Observer`].
     ///
     /// With the default [`NoOpObserver`] this monomorphizes to exactly the
     /// unobserved solve — no event is materialized, no allocation happens.
@@ -821,8 +816,8 @@ mod tests {
                 }
             }
         }
-        let outcome =
-            Solver::new(&cnf, SolverOptions::default()).solve_with_budget(&Budget::conflicts(1));
+        let outcome = Solver::new(&cnf, SolverOptions::default())
+            .solve_observed(&Budget::conflicts(1), &mut NoOpObserver);
         assert_eq!(outcome, Verdict::Unknown(Interrupt::Conflicts));
         // And without the budget it is UNSAT.
         let outcome = Solver::new(&cnf, SolverOptions::default()).solve();
@@ -836,14 +831,17 @@ mod tests {
         for v in 0..15u32 {
             cnf.add_clause(vec![Var(v).positive(), Var(v + 1).positive()]);
         }
-        let outcome = Solver::new(&cnf, SolverOptions::default()).solve_with_budget(&Budget {
-            max_decisions: Some(1),
-            ..Budget::UNLIMITED
-        });
+        let outcome = Solver::new(&cnf, SolverOptions::default()).solve_observed(
+            &Budget {
+                max_decisions: Some(1),
+                ..Budget::UNLIMITED
+            },
+            &mut NoOpObserver,
+        );
         assert_eq!(outcome, Verdict::Unknown(Interrupt::Decisions));
         // A zero time budget: the very first checkpoint polls the clock.
         let outcome = Solver::new(&cnf, SolverOptions::default())
-            .solve_with_budget(&Budget::time(std::time::Duration::ZERO));
+            .solve_observed(&Budget::time(std::time::Duration::ZERO), &mut NoOpObserver);
         // An instance decided purely by propagation takes no checkpoints.
         assert!(matches!(
             outcome,
@@ -869,7 +867,7 @@ mod tests {
             }
         }
         let mut solver = Solver::new(&cnf, SolverOptions::default());
-        match solver.solve_with_budget(&Budget::memory(2048)) {
+        match solver.solve_observed(&Budget::memory(2048), &mut NoOpObserver) {
             Verdict::Unsat | Verdict::Unknown(Interrupt::Memory) => {}
             other => panic!("{other:?}"),
         }
@@ -884,7 +882,7 @@ mod tests {
         let token = csat_types::CancelToken::new();
         token.cancel();
         let outcome = Solver::new(&cnf, SolverOptions::default())
-            .solve_with_budget(&Budget::UNLIMITED.with_cancel(token));
+            .solve_observed(&Budget::UNLIMITED.with_cancel(token), &mut NoOpObserver);
         assert_eq!(outcome, Verdict::Unknown(Interrupt::Cancelled));
     }
 

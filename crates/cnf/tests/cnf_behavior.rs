@@ -3,6 +3,7 @@
 
 use csat_cnf::{Budget, Solver, SolverOptions, Verdict};
 use csat_netlist::cnf::{Cnf, Lit, Var};
+use csat_telemetry::NoOpObserver;
 
 /// Pigeonhole principle: n+1 pigeons into n holes, always UNSAT.
 fn pigeonhole(n: usize) -> Cnf {
@@ -116,7 +117,8 @@ fn time_budget_is_respected() {
     let cnf = pigeonhole(10);
     let mut solver = Solver::new(&cnf, SolverOptions::default());
     let start = Instant::now();
-    let outcome = solver.solve_with_budget(&Budget::time(Duration::from_millis(100)));
+    let outcome =
+        solver.solve_observed(&Budget::time(Duration::from_millis(100)), &mut NoOpObserver);
     // Either it solved fast or it gave up near the deadline.
     if let Verdict::Unknown(reason) = outcome {
         assert_eq!(reason, csat_cnf::Interrupt::Timeout);

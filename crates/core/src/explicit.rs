@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use csat_netlist::Lit;
 use csat_sim::{Correlation, CorrelationResult, Relation};
-use csat_telemetry::{NoOpObserver, Observer, SolverEvent, SubproblemOutcome};
+use csat_telemetry::{Observer, SolverEvent, SubproblemOutcome};
 use csat_types::Interrupt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,62 +170,16 @@ impl RecordedCores {
     }
 }
 
-/// Runs the explicit-learning pass over the solver.
+/// Runs the explicit-learning pass over the solver: observed, bounded by
+/// an outer budget, and panic-isolated.
 ///
 /// Call this once (after [`Solver::set_correlations`] if implicit learning
-/// is also wanted) and then [`Solver::solve`] the original objective; the
-/// learned clauses carry over.
+/// is also wanted) and then solve the original objective on the same
+/// solver; the learned clauses carry over. `csat_pipeline::solve` runs
+/// exactly this sequence.
 ///
-/// # Example
-///
-/// ```
-/// use csat_core::{explicit, ExplicitOptions, Solver, SolverOptions};
-/// use csat_netlist::{generators, miter};
-/// use csat_sim::{find_correlations, SimulationOptions};
-///
-/// let m = miter::self_miter(&generators::ripple_carry_adder(8), Default::default());
-/// let correlations = find_correlations(&m.aig, &SimulationOptions::default());
-/// let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
-/// solver.set_correlations(&correlations);
-/// let report = explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
-/// assert!(report.subproblems > 0);
-/// assert!(solver.solve(m.objective).is_unsat());
-/// ```
-pub fn run(
-    solver: &mut Solver<'_>,
-    correlations: &CorrelationResult,
-    options: &ExplicitOptions,
-) -> ExplicitReport {
-    run_observed(solver, correlations, options, &mut NoOpObserver)
-}
-
-/// Like [`run`], reporting each sub-problem's lifecycle
-/// ([`SolverEvent::SubproblemStart`] / [`SolverEvent::SubproblemEnd`]) and
-/// the inner search events to the given [`Observer`].
-pub fn run_observed<O>(
-    solver: &mut Solver<'_>,
-    correlations: &CorrelationResult,
-    options: &ExplicitOptions,
-    obs: &mut O,
-) -> ExplicitReport
-where
-    O: Observer + ?Sized,
-{
-    run_budgeted_observed(solver, correlations, options, &Budget::UNLIMITED, obs)
-}
-
-/// Like [`run`] under an *outer* budget governing the whole pass.
-pub fn run_budgeted(
-    solver: &mut Solver<'_>,
-    correlations: &CorrelationResult,
-    options: &ExplicitOptions,
-    outer: &Budget,
-) -> ExplicitReport {
-    run_budgeted_observed(solver, correlations, options, outer, &mut NoOpObserver)
-}
-
-/// The full explicit-learning pass: observed, bounded by an outer budget,
-/// and panic-isolated.
+/// Each sub-problem is reported to `obs` ([`SolverEvent::SubproblemStart`]
+/// / [`SolverEvent::SubproblemEnd`]) along with its inner search events.
 ///
 /// `outer` governs the *whole pass* (the per-sub-problem learned/decision
 /// budgets come from `options`): its cancel token and memory limit are
@@ -239,6 +193,30 @@ pub fn run_budgeted(
 /// and the remaining sequence continues. A contained panic is reported as
 /// [`SubproblemOutcome::Panicked`] and counted in
 /// [`ExplicitReport::panicked`].
+///
+/// # Example
+///
+/// ```
+/// use csat_core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions};
+/// use csat_netlist::{generators, miter};
+/// use csat_sim::{find_correlations, SimulationOptions};
+/// use csat_telemetry::NoOpObserver;
+///
+/// let m = miter::self_miter(&generators::ripple_carry_adder(8), Default::default());
+/// let correlations = find_correlations(&m.aig, &SimulationOptions::default());
+/// let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
+/// solver.set_correlations(&correlations);
+/// let options = ExplicitOptions::default();
+/// let report = explicit::run_budgeted_observed(
+///     &mut solver,
+///     &correlations,
+///     &options,
+///     &Budget::UNLIMITED,
+///     &mut NoOpObserver,
+/// );
+/// assert!(report.subproblems > 0);
+/// assert!(solver.solve(m.objective).is_unsat());
+/// ```
 pub fn run_budgeted_observed<O>(
     solver: &mut Solver<'_>,
     correlations: &CorrelationResult,
@@ -429,6 +407,21 @@ mod tests {
     use crate::options::SolverOptions;
     use csat_netlist::{generators, miter};
     use csat_sim::{find_correlations, SimulationOptions};
+    use csat_telemetry::NoOpObserver;
+
+    fn run(
+        solver: &mut Solver<'_>,
+        correlations: &CorrelationResult,
+        options: &ExplicitOptions,
+    ) -> ExplicitReport {
+        run_budgeted_observed(
+            solver,
+            correlations,
+            options,
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
+        )
+    }
 
     #[test]
     fn assumptions_pick_conflicting_values() {
@@ -480,7 +473,7 @@ mod tests {
 
     #[test]
     fn recorded_cores_read_back_in_order() {
-        let lit = |i: usize| Lit::new(csat_netlist::NodeId::from_index(i), i % 2 == 0);
+        let lit = |i: usize| Lit::new(csat_netlist::NodeId::from_index(i), i.is_multiple_of(2));
         let mut cores = RecordedCores::default();
         assert_eq!(cores.iter().count(), 0);
         cores.push(&[lit(3), lit(4)]);

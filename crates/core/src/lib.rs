@@ -24,9 +24,10 @@
 //! # Example: proving a miter unsatisfiable with both learning modes
 //!
 //! ```
-//! use csat_core::{explicit, ExplicitOptions, Solver, SolverOptions};
+//! use csat_core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions};
 //! use csat_netlist::{generators, miter};
 //! use csat_sim::{find_correlations, SimulationOptions};
+//! use csat_telemetry::NoOpObserver;
 //!
 //! let adder = generators::ripple_carry_adder(8);
 //! let m = miter::self_miter(&adder, Default::default());
@@ -34,7 +35,9 @@
 //!
 //! let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
 //! solver.set_correlations(&correlations);
-//! explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+//! let options = ExplicitOptions::default();
+//! let (budget, obs) = (&Budget::UNLIMITED, &mut NoOpObserver);
+//! explicit::run_budgeted_observed(&mut solver, &correlations, &options, budget, obs);
 //! assert!(solver.solve(m.objective).is_unsat());
 //! ```
 

@@ -83,15 +83,18 @@ mod tests {
 
     #[test]
     fn proof_with_explicit_learning_checks() {
-        use crate::{explicit, ExplicitOptions};
+        use crate::{explicit, Budget, ExplicitOptions};
         use csat_sim::{find_correlations, SimulationOptions};
+        use csat_telemetry::NoOpObserver;
         let circuit = generators::array_multiplier(5);
         let m = miter::self_miter(&circuit, Default::default());
         let correlations = find_correlations(&m.aig, &SimulationOptions::default());
         let mut s = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
         s.set_correlations(&correlations);
         s.start_proof();
-        explicit::run(&mut s, &correlations, &ExplicitOptions::default());
+        let options = ExplicitOptions::default();
+        let (budget, obs) = (&Budget::UNLIMITED, &mut NoOpObserver);
+        explicit::run_budgeted_observed(&mut s, &correlations, &options, budget, obs);
         assert!(s.solve(m.objective).is_unsat());
         let proof = s.take_proof();
         verify_unsat(&m.aig, &proof, m.objective).expect("proof must check");

@@ -1022,19 +1022,14 @@ impl<'a> Solver<'a> {
     /// Thin wrapper over [`Solver::solve_under`] with an unlimited budget
     /// and no observer.
     pub fn solve(&mut self, objective: Lit) -> Verdict {
-        self.solve_with_budget(objective, &Budget::UNLIMITED)
+        self.solve_observed(objective, &Budget::UNLIMITED, &mut NoOpObserver)
     }
 
-    /// Like [`Solver::solve`] with a resource budget. Thin wrapper over
-    /// [`Solver::solve_under`] with no observer.
-    pub fn solve_with_budget(&mut self, objective: Lit, budget: &Budget) -> Verdict {
-        self.solve_observed(objective, budget, &mut NoOpObserver)
-    }
-
-    /// Like [`Solver::solve_with_budget`], reporting search events to the
-    /// given [`Observer`]. Thin wrapper over [`Solver::solve_under`] with
-    /// the objective as the single extra assumption, collapsing the
-    /// assumption-aware [`SubVerdict`] into a plain [`Verdict`].
+    /// Like [`Solver::solve`] under a resource budget, reporting search
+    /// events to the given [`Observer`]. Thin wrapper over
+    /// [`Solver::solve_under`] with the objective as the single extra
+    /// assumption, collapsing the assumption-aware [`SubVerdict`] into a
+    /// plain [`Verdict`].
     ///
     /// With the default [`NoOpObserver`] this monomorphizes to exactly the
     /// unobserved solve — no event is materialized, no allocation happens.

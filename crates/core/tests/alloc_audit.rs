@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use csat_core::{Budget, Solver, SolverOptions, Stats};
 use csat_netlist::{generators, miter};
+use csat_telemetry::NoOpObserver;
 
 struct CountingAlloc;
 
@@ -55,7 +56,7 @@ fn steady_state_conflicts_allocate_amortized_zero() {
 
     // Warm-up: grow the arena, watcher lists, scratch buffers and heaps.
     let warmup = Budget::conflicts(20000);
-    let _ = solver.solve_with_budget(m.objective, &warmup);
+    let _ = solver.solve_observed(m.objective, &warmup, &mut NoOpObserver);
     let stats_before: Stats = *solver.stats();
     assert!(
         stats_before.conflicts >= 20000,
@@ -64,7 +65,7 @@ fn steady_state_conflicts_allocate_amortized_zero() {
 
     // Measurement window: as many conflicts again, on the warm solver.
     let before = allocations();
-    let _ = solver.solve_with_budget(m.objective, &warmup);
+    let _ = solver.solve_observed(m.objective, &warmup, &mut NoOpObserver);
     let allocs = allocations() - before;
     let conflicts = solver.stats().conflicts - stats_before.conflicts;
 

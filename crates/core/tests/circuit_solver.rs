@@ -115,7 +115,7 @@ fn memory_budget_triggers_reduction_not_wrong_answers() {
     let m = miter::self_miter(&generators::ripple_carry_adder(6), Default::default());
     let mut s = Solver::new(&m.aig, SolverOptions::default());
     let budget = Budget::memory(64 * 1024);
-    let verdict = s.solve_with_budget(m.objective, &budget);
+    let verdict = s.solve_observed(m.objective, &budget, &mut NoOpObserver);
     assert_eq!(verdict, Verdict::Unsat);
     assert!(s.learned_memory_bytes() <= 64 * 1024);
 }
@@ -128,7 +128,7 @@ fn cancellation_aborts_promptly() {
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::UNLIMITED.with_cancel(token);
-    let verdict = s.solve_with_budget(m.objective, &budget);
+    let verdict = s.solve_observed(m.objective, &budget, &mut NoOpObserver);
     assert_eq!(verdict, Verdict::Unknown(Interrupt::Cancelled));
 }
 

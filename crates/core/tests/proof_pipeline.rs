@@ -1,9 +1,10 @@
 //! Integration tests combining proof logging and the explicit-learning
 //! pipeline across realistic flows.
 
-use csat_core::{explicit, proof, ExplicitOptions, Solver, SolverOptions};
+use csat_core::{explicit, proof, Budget, ExplicitOptions, Solver, SolverOptions};
 use csat_netlist::{generators, miter, optimize};
 use csat_sim::{find_correlations, SimulationOptions};
+use csat_telemetry::NoOpObserver;
 
 /// Every UNSAT verdict produced along a multi-query session must be
 /// certifiable from the accumulated proof log.
@@ -33,7 +34,13 @@ fn pipeline_proof_checks_on_opt_miter() {
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
     solver.start_proof();
-    explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+    explicit::run_budgeted_observed(
+        &mut solver,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     assert!(solver.solve(m.objective).is_unsat());
     let log = solver.take_proof();
     assert!(!log.is_empty());
@@ -49,7 +56,13 @@ fn pipeline_is_deterministic() {
         let correlations = find_correlations(&m.aig, &SimulationOptions::default());
         let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
         solver.set_correlations(&correlations);
-        let report = explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+        let report = explicit::run_budgeted_observed(
+            &mut solver,
+            &correlations,
+            &ExplicitOptions::default(),
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
+        );
         let verdict = solver.solve(m.objective);
         (
             report.subproblems,

@@ -107,7 +107,11 @@ fn contradictory_assumptions_name_the_culprit() {
 fn time_budget_aborts_hard_instance() {
     let m = miter::self_miter(&generators::array_multiplier(10), Default::default());
     let mut s = Solver::new(&m.aig, SolverOptions::default());
-    let verdict = s.solve_with_budget(m.objective, &Budget::time(Duration::from_millis(50)));
+    let verdict = s.solve_observed(
+        m.objective,
+        &Budget::time(Duration::from_millis(50)),
+        &mut NoOpObserver,
+    );
     assert_eq!(verdict, Verdict::Unknown(Interrupt::Timeout));
 }
 

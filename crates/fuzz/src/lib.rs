@@ -12,9 +12,12 @@
 //!   constants) plus random 3-CNF near the phase transition, converted to a
 //!   circuit through the paper's 2-level OR-AND translation.
 //! * [`oracle`] — the multi-oracle harness: each instance is solved under a
-//!   matrix of [`csat_core::SolverOptions`] (implicit/explicit learning
-//!   on/off, the `paper()` preset, varied restart policies, varied
-//!   simulation widths) plus the CNF baseline on the Tseitin encoding.
+//!   matrix of [`csat_pipeline::Request`]s, so through the solve flow that
+//!   ships — circuit engine options (implicit/explicit learning on/off,
+//!   the `paper()` preset, varied restart policies, varied simulation
+//!   widths), the CNF baseline on the Tseitin encoding and, at
+//!   `--threads N`, the parallel layer — plus the CNF baseline on the raw
+//!   formula of CNF-born instances.
 //!   Verdicts are cross-checked against each other, SAT models against
 //!   direct circuit evaluation ([`csat_core::check_model`]), and UNSAT
 //!   answers against reverse-unit-propagation proof checking
@@ -36,7 +39,7 @@
 //!
 //! # Seed-reproducibility contract
 //!
-//! Every oracle in the matrix is deterministic (conflict/decision budgets,
+//! Every sequential oracle is deterministic (conflict/decision budgets,
 //! never wall-clock; fixed simulation seeds; single-threaded), so a run with
 //! a given `--seed`/`--iters`/`--matrix` reproduces the exact same
 //! instances, verdicts, metrics and JSONL rows — timing fields (`seconds`)

@@ -1,30 +1,38 @@
 //! The multi-oracle harness.
 //!
-//! An *oracle* is one complete way of answering an instance: a circuit
-//! solver configuration (optionally preceded by correlation discovery,
-//! implicit grouping and the explicit learning pass) or the CNF baseline on
-//! the Tseitin encoding (or on the raw formula, for CNF-born instances).
+//! An *oracle* is one complete way of answering an instance. All but one
+//! are a [`Request`] through the shipped pipeline
+//! ([`csat_pipeline::solve`]): a circuit solver configuration (with or
+//! without correlation discovery, implicit grouping and the explicit
+//! learning pass), a prep level, the parallel layer, or the CNF baseline
+//! on the Tseitin encoding. So each column checks exactly what `csat`,
+//! `cec` and `csat-serve` ship, the witness step included. The one
+//! exception, `cnf-direct`, solves the raw DIMACS formula, which the
+//! pipeline only reads through its two-level circuit.
+//!
 //! [`check_instance`] runs every oracle of a matrix on one instance and
 //! cross-checks:
 //!
 //! * **verdicts** — no oracle may answer SAT while another answers UNSAT
 //!   (budget-limited `Unknown`s abstain);
 //! * **models** — every SAT model must satisfy the instance under direct
-//!   evaluation ([`csat_core::check_model`] / [`csat_cnf::check_model`]);
-//! * **proofs** — every UNSAT answer is logged and re-checked by reverse
-//!   unit propagation ([`csat_core::proof::verify_unsat`] /
+//!   evaluation (the pipeline checks each one with
+//!   [`csat_core::check_model`] and panics on a bad one;
+//!   [`csat_cnf::check_model`] for `cnf-direct`);
+//! * **proofs** — every sequential UNSAT answer is logged and re-checked
+//!   by reverse unit propagation ([`csat_core::proof::verify_unsat`] /
 //!   [`csat_cnf::proof::verify_unsat`]).
 //!
-//! Every oracle is deterministic: budgets count conflicts, simulation is
-//! seeded, and nothing consults the clock.
+//! Every sequential oracle is deterministic: budgets count conflicts,
+//! simulation is seeded, and nothing consults the clock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use csat_core::{explicit, ExplicitOptions};
-use csat_netlist::tseitin;
-use csat_pipeline::Request;
+use csat_core::{ReductionPolicy, RestartPolicy, SolverOptions};
+use csat_par::ParMode;
+use csat_pipeline::{Engine, Request};
 use csat_prep::PrepLevel;
-use csat_sim::{find_correlations, SimulationOptions};
+use csat_sim::SimulationOptions;
 use csat_telemetry::{MetricsRecorder, NoOpObserver, Observer};
 use csat_types::{Budget, Interrupt, Verdict};
 
@@ -90,36 +98,17 @@ impl Matrix {
 }
 
 /// How one oracle answers an instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Spec {
-    /// The circuit solver, optionally with correlation-guided learning.
-    Circuit {
-        options: csat_core::SolverOptions,
-        /// Run the explicit learning pass before the final solve.
-        explicit_pass: bool,
-        /// Run correlation discovery (required for implicit grouping and
-        /// the explicit pass) with these options.
-        simulation: Option<SimulationOptions>,
+    /// The shipped pipeline on the request `request` makes for the
+    /// instance, on `threads` workers.
+    Solve {
+        request: fn(&Instance) -> Request<'_>,
+        threads: usize,
     },
-    /// The CNF baseline on the Tseitin encoding of the circuit.
-    CnfTseitin { options: csat_cnf::SolverOptions },
     /// The CNF baseline on the raw source formula (skipped for instances
     /// that were not born as CNF).
     CnfDirect { options: csat_cnf::SolverOptions },
-    /// The parallel portfolio on the circuit backend: `threads`
-    /// diversified workers racing with clause sharing. Individually
-    /// deterministic workers make the *verdict* deterministic (soundness
-    /// forbids a SAT/UNSAT split between workers), which is exactly the
-    /// contract this oracle differentials against the sequential columns.
-    ParPortfolio { threads: usize },
-    /// Cube-and-conquer on the circuit backend: probe, split on the
-    /// hottest variables, conquer subcubes with work stealing.
-    ParCubes { threads: usize },
-    /// The shipped solve pipeline ([`csat_pipeline::solve`]) behind a
-    /// `csat_prep` level: preprocess, solve the reduced netlist (with
-    /// proof logging against it), lift SAT models through the
-    /// reconstruction map and check them on the original netlist.
-    Prep { level: PrepLevel },
 }
 
 /// One named solver configuration of the matrix.
@@ -134,23 +123,43 @@ pub struct Oracle {
     mem_limit: Option<u64>,
 }
 
-/// Fixed simulation seed: correlation discovery must not depend on the
-/// instance seed, or implicit-learning runs would not be reproducible from
-/// the JSONL row alone.
-fn sim_options(words: usize) -> SimulationOptions {
-    SimulationOptions {
-        words,
-        threads: 1,
-        ..SimulationOptions::default()
+/// A sequential pipeline column.
+fn column(name: &'static str, request: fn(&Instance) -> Request<'_>) -> Oracle {
+    Oracle {
+        name,
+        spec: Spec::Solve {
+            request,
+            threads: 1,
+        },
+        mem_limit: None,
     }
 }
 
-/// Shorthand for an unclamped matrix entry.
-fn oracle(name: &'static str, spec: Spec) -> Oracle {
-    Oracle {
-        name,
-        spec,
-        mem_limit: None,
+/// The paper's flow ([`Request::new`]: implicit and explicit learning,
+/// so simulation runs first) with every UNSAT proof checked.
+fn paper(i: &Instance) -> Request<'_> {
+    Request {
+        check_proof: true,
+        ..Request::new(&i.aig, i.objective)
+    }
+}
+
+/// The circuit engine with `options` and no explicit pass; simulation
+/// runs only when `options` turn implicit learning on.
+fn circuit(i: &Instance, options: SolverOptions) -> Request<'_> {
+    Request {
+        engine: Engine::Circuit(options),
+        explicit: None,
+        ..paper(i)
+    }
+}
+
+/// The CNF baseline with `options` on the Tseitin encoding.
+fn cnf(i: &Instance, options: csat_cnf::SolverOptions) -> Request<'_> {
+    Request {
+        engine: Engine::Cnf(options),
+        explicit: None,
+        ..paper(i)
     }
 }
 
@@ -167,12 +176,29 @@ pub fn oracles(matrix: Matrix) -> Vec<Oracle> {
 /// (`par-portfolio`, `par-cubes` on `threads` workers each) when
 /// `threads > 1` — the parallel-vs-sequential differential: every
 /// parallel verdict is cross-checked against the proof-backed sequential
-/// oracles of the same matrix.
+/// oracles of the same matrix. Parallel runs log no proof; their UNSAT
+/// answers are vouched for by that cross-check.
 pub fn oracles_with_threads(matrix: Matrix, threads: usize) -> Vec<Oracle> {
     let mut list = oracles_sequential(matrix);
     if threads > 1 && !matches!(matrix, Matrix::Incremental | Matrix::Serve) {
-        list.push(oracle("par-portfolio", Spec::ParPortfolio { threads }));
-        list.push(oracle("par-cubes", Spec::ParCubes { threads }));
+        let parallel = |name, request| Oracle {
+            name,
+            spec: Spec::Solve { request, threads },
+            mem_limit: None,
+        };
+        // As a served `"threads": N` job runs: learning off, so every
+        // instance reaches the workers.
+        list.push(parallel("par-portfolio", |i| Request {
+            par_mode: ParMode::Portfolio,
+            ..circuit(i, SolverOptions::default())
+        }));
+        // As `csat --threads N --par-mode cubes` runs: implicit learning
+        // on, so simulation may answer first, and otherwise hands its
+        // correlations to every worker.
+        list.push(parallel("par-cubes", |i| Request {
+            par_mode: ParMode::Cubes,
+            ..paper(i)
+        }));
     }
     list
 }
@@ -186,160 +212,90 @@ fn oracles_sequential(matrix: Matrix) -> Vec<Oracle> {
         // with no prep, light prep and full prep, cross-checked against
         // the independent CNF baseline. Verdicts must match columnwise
         // and every lifted model must validate on the original netlist.
+        // Proofs are checked against the reduced netlist; constant
+        // objectives carry none and are vouched for by the cross-check.
         return vec![
-            oracle(
-                "prep-off",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::default(),
-                    explicit_pass: false,
-                    simulation: None,
-                },
-            ),
-            oracle(
-                "prep-light",
-                Spec::Prep {
-                    level: PrepLevel::Light,
-                },
-            ),
-            oracle(
-                "prep-full",
-                Spec::Prep {
-                    level: PrepLevel::Full,
-                },
-            ),
-            oracle(
-                "cnf-tseitin",
-                Spec::CnfTseitin {
-                    options: csat_cnf::SolverOptions::default(),
-                },
-            ),
+            column("prep-off", |i| circuit(i, SolverOptions::default())),
+            column("prep-light", |i| Request {
+                prep: PrepLevel::Light,
+                ..circuit(i, SolverOptions::default())
+            }),
+            column("prep-full", |i| Request {
+                prep: PrepLevel::Full,
+                ..circuit(i, SolverOptions::default())
+            }),
+            column("cnf-tseitin", |i| cnf(i, Default::default())),
         ];
     }
     let mut list = vec![
-        oracle(
-            "jnode",
-            Spec::Circuit {
-                options: csat_core::SolverOptions::default(),
-                explicit_pass: false,
-                simulation: None,
-            },
-        ),
-        oracle(
-            "paper-full",
-            Spec::Circuit {
-                options: csat_core::SolverOptions::paper(),
-                explicit_pass: true,
-                simulation: Some(sim_options(4)),
-            },
-        ),
-        oracle(
-            "cnf-tseitin",
-            Spec::CnfTseitin {
-                options: csat_cnf::SolverOptions::default(),
-            },
-        ),
+        column("jnode", |i| circuit(i, SolverOptions::default())),
+        column("paper-full", paper),
+        column("cnf-tseitin", |i| cnf(i, Default::default())),
     ];
     if matrix == Matrix::Full {
         list.extend([
-            oracle(
-                "plain-vsids",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::plain_csat(),
-                    explicit_pass: false,
-                    simulation: None,
-                },
-            ),
-            oracle(
-                "implicit-only",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::with_implicit_learning(),
-                    explicit_pass: false,
-                    simulation: Some(sim_options(4)),
-                },
-            ),
-            oracle(
-                "explicit-only",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::default(),
-                    explicit_pass: true,
-                    simulation: Some(sim_options(4)),
-                },
-            ),
-            oracle(
-                "fast-restarts",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::builder()
-                        .restart(csat_core::RestartPolicy::BackjumpAverage {
-                            window: 512,
-                            threshold: 2.0,
-                        })
-                        .build(),
-                    explicit_pass: false,
-                    simulation: None,
-                },
-            ),
+            column("plain-vsids", |i| circuit(i, SolverOptions::plain_csat())),
+            column("implicit-only", |i| circuit(i, SolverOptions::paper())),
+            column("explicit-only", |i| Request {
+                engine: Engine::Circuit(SolverOptions::default()),
+                ..paper(i)
+            }),
+            column("fast-restarts", |i| {
+                let restart = RestartPolicy::BackjumpAverage {
+                    window: 512,
+                    threshold: 2.0,
+                };
+                circuit(i, SolverOptions::builder().restart(restart).build())
+            }),
             // The kernel-policy column: Luby restarts, LBD-aware database
             // reduction and phase saving on the circuit backend — the
             // non-default `csat_types::SearchOptions` switches must never
             // change a verdict.
-            oracle(
-                "jnode-kernel-policies",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::builder()
-                        .restart(csat_core::RestartPolicy::Luby { unit: 64 })
-                        .reduction(csat_core::ReductionPolicy::LbdActivity { glue_keep: 2 })
-                        .phase_saving(true)
-                        .build(),
-                    explicit_pass: false,
-                    simulation: None,
+            column("jnode-kernel-policies", |i| {
+                let options = SolverOptions::builder()
+                    .restart(RestartPolicy::Luby { unit: 64 })
+                    .reduction(ReductionPolicy::LbdActivity { glue_keep: 2 })
+                    .phase_saving(true)
+                    .build();
+                circuit(i, options)
+            }),
+            column("implicit-sim1", |i| Request {
+                simulation: SimulationOptions {
+                    words: 1,
+                    ..SimulationOptions::default()
                 },
-            ),
-            oracle(
-                "implicit-sim1",
-                Spec::Circuit {
-                    options: csat_core::SolverOptions::paper(),
-                    explicit_pass: false,
-                    simulation: Some(sim_options(1)),
-                },
-            ),
-            oracle(
-                "cnf-fast-restarts",
-                Spec::CnfTseitin {
-                    options: csat_cnf::SolverOptions::builder()
-                        .restart(csat_cnf::RestartPolicy::Geometric {
-                            first: 32,
-                            factor: 1.3,
-                        })
-                        .build(),
-                },
-            ),
+                ..circuit(i, SolverOptions::paper())
+            }),
+            column("cnf-fast-restarts", |i| {
+                let options = csat_cnf::SolverOptions::builder()
+                    .restart(csat_cnf::RestartPolicy::Geometric {
+                        first: 32,
+                        factor: 1.3,
+                    })
+                    .build();
+                cnf(i, options)
+            }),
             // Same kernel-policy sweep on the CNF backend.
-            oracle(
-                "cnf-kernel-policies",
-                Spec::CnfTseitin {
-                    options: csat_cnf::SolverOptions::builder()
-                        .restart(csat_cnf::RestartPolicy::Luby { unit: 64 })
-                        .reduction(csat_cnf::ReductionPolicy::LbdActivity { glue_keep: 2 })
-                        .phase_saving(true)
-                        .build(),
-                },
-            ),
-            oracle(
-                "cnf-direct",
-                Spec::CnfDirect {
+            column("cnf-kernel-policies", |i| {
+                let options = csat_cnf::SolverOptions::builder()
+                    .restart(csat_cnf::RestartPolicy::Luby { unit: 64 })
+                    .reduction(csat_cnf::ReductionPolicy::LbdActivity { glue_keep: 2 })
+                    .phase_saving(true)
+                    .build();
+                cnf(i, options)
+            }),
+            Oracle {
+                name: "cnf-direct",
+                spec: Spec::CnfDirect {
                     options: csat_cnf::SolverOptions::default(),
                 },
-            ),
+                mem_limit: None,
+            },
             // Exercises emergency DB reduction and Memory aborts inside the
             // differential loop; its Unknowns abstain like any other.
             Oracle {
-                name: "jnode-tiny-mem",
-                spec: Spec::Circuit {
-                    options: csat_core::SolverOptions::default(),
-                    explicit_pass: false,
-                    simulation: None,
-                },
                 mem_limit: Some(64 * 1024),
+                ..column("jnode-tiny-mem", |i| circuit(i, SolverOptions::default()))
             },
         ]);
     }
@@ -427,93 +383,26 @@ fn run_oracle_inner(
     budget: &Budget,
     obs: &mut dyn Observer,
 ) -> Option<OracleOutcome> {
-    match &oracle.spec {
-        Spec::Circuit {
-            options,
-            explicit_pass,
-            simulation,
-        } => {
-            let mut solver = csat_core::Solver::new(&instance.aig, *options);
-            solver.start_proof();
-            if let Some(sim) = simulation {
-                let correlations = find_correlations(&instance.aig, sim);
-                if options.implicit_learning {
-                    solver.set_correlations(&correlations);
-                }
-                if *explicit_pass {
-                    explicit::run_observed(
-                        &mut solver,
-                        &correlations,
-                        &ExplicitOptions::default(),
-                        &mut *obs,
-                    );
-                }
-            }
-            let verdict = solver.solve_observed(instance.objective, budget, &mut *obs);
-            let (model_ok, proof_ok) = match &verdict {
-                Verdict::Sat(model) => (
-                    Some(csat_core::check_model(
-                        &instance.aig,
-                        model,
-                        instance.objective,
-                    )),
-                    None,
-                ),
-                Verdict::Unsat => {
-                    let proof = solver.take_proof();
-                    let ok =
-                        csat_core::proof::verify_unsat(&instance.aig, &proof, instance.objective)
-                            .is_ok();
-                    (None, Some(ok))
-                }
-                Verdict::Unknown(_) => (None, None),
+    match oracle.spec {
+        Spec::Solve { request, threads } => {
+            let request = Request {
+                threads,
+                ..request(instance)
             };
+            let report = csat_pipeline::solve(&request, budget, obs);
             Some(OracleOutcome {
                 name: oracle.name,
-                verdict,
-                model_ok,
-                proof_ok,
-                panicked: false,
-            })
-        }
-        Spec::CnfTseitin { options } => {
-            let enc = tseitin::encode_with_objective(&instance.aig, instance.objective);
-            let mut solver = csat_cnf::Solver::new(&enc.cnf, *options);
-            solver.start_proof();
-            let verdict = solver.solve_observed(budget, &mut *obs);
-            let (model_ok, proof_ok) = match &verdict {
-                Verdict::Sat(model) => {
-                    // Map the CNF model back to circuit inputs and check on
-                    // the circuit itself — this also cross-checks the
-                    // Tseitin encoding's input mapping.
-                    let inputs = enc.input_values(&instance.aig, model);
-                    (
-                        Some(csat_core::check_model(
-                            &instance.aig,
-                            &inputs,
-                            instance.objective,
-                        )),
-                        None,
-                    )
-                }
-                Verdict::Unsat => {
-                    let proof = solver.take_proof();
-                    let ok = csat_cnf::proof::verify_unsat(&enc.cnf, &proof).is_ok();
-                    (None, Some(ok))
-                }
-                Verdict::Unknown(_) => (None, None),
-            };
-            Some(OracleOutcome {
-                name: oracle.name,
-                verdict,
-                model_ok,
-                proof_ok,
+                // `solve` checks every model on the instance and panics
+                // on a bad one.
+                model_ok: report.verdict.is_sat().then_some(true),
+                proof_ok: report.proof.map(|p| p.is_ok()),
+                verdict: report.verdict,
                 panicked: false,
             })
         }
         Spec::CnfDirect { options } => {
             let cnf = instance.cnf.as_ref()?;
-            let mut solver = csat_cnf::Solver::new(cnf, *options);
+            let mut solver = csat_cnf::Solver::new(cnf, options);
             solver.start_proof();
             let verdict = solver.solve_observed(budget, &mut *obs);
             let (model_ok, proof_ok) = match &verdict {
@@ -535,89 +424,6 @@ fn run_oracle_inner(
                 panicked: false,
             })
         }
-        Spec::Prep { level } => {
-            // The shipped pipeline itself: prep, the constant shortcut,
-            // the plain J-node solve with its proof checked against the
-            // reduced netlist, and the lifted model checked (by `solve`,
-            // which panics on a bad one) against the ORIGINAL netlist.
-            // Constant-objective answers carry no proof log; like the
-            // parallel columns they are vouched for by the cross-check.
-            let report = csat_pipeline::solve(
-                &Request {
-                    prep: *level,
-                    implicit: false,
-                    explicit: false,
-                    simulation: sim_options(4),
-                    check_proof: true,
-                    ..Request::new(&instance.aig, instance.objective)
-                },
-                budget,
-                obs,
-            );
-            Some(OracleOutcome {
-                name: oracle.name,
-                model_ok: report.verdict.is_sat().then_some(true),
-                proof_ok: report.proof.map(|p| p.is_ok()),
-                verdict: report.verdict,
-                panicked: false,
-            })
-        }
-        Spec::ParPortfolio { threads } => {
-            let outcome = csat_par::solve_aig_portfolio(
-                &instance.aig,
-                instance.objective,
-                csat_core::SolverOptions::default(),
-                *threads,
-                &csat_par::PortfolioOptions::default(),
-                budget,
-                |_, _| {},
-            );
-            Some(par_outcome(oracle.name, instance, outcome))
-        }
-        Spec::ParCubes { threads } => {
-            let outcome = csat_par::solve_aig_cubes(
-                &instance.aig,
-                instance.objective,
-                csat_core::SolverOptions::default(),
-                *threads,
-                // A small probe pushes most instances into the actual
-                // split/conquer path instead of settling in the probe.
-                &csat_par::CubeOptions {
-                    cube_vars: 3,
-                    probe_conflicts: 500,
-                },
-                budget,
-                |_, _| {},
-            );
-            Some(par_outcome(oracle.name, instance, outcome))
-        }
-    }
-}
-
-/// Wraps a parallel run's verdict as an oracle outcome. Parallel runs
-/// carry no proof log (clauses arrive from several workers), so UNSAT
-/// answers are vouched for by the verdict cross-check against the
-/// proof-backed sequential columns, and SAT models are still checked by
-/// direct evaluation.
-fn par_outcome(
-    name: &'static str,
-    instance: &Instance,
-    outcome: csat_par::ParOutcome,
-) -> OracleOutcome {
-    let model_ok = match &outcome.verdict {
-        Verdict::Sat(model) => Some(csat_core::check_model(
-            &instance.aig,
-            model,
-            instance.objective,
-        )),
-        _ => None,
-    };
-    OracleOutcome {
-        name,
-        verdict: outcome.verdict,
-        model_ok,
-        proof_ok: None,
-        panicked: false,
     }
 }
 

@@ -1,9 +1,9 @@
-//! The one solve pipeline (`csat-pipeline`) behind every front-end.
+//! The one solve pipeline (`csat-pipeline`) behind every caller.
 //!
-//! `csat`, `cec`, the `csat-serve` daemon and the fuzz preprocessing
-//! oracle all answer an instance the same way, so the flow lives here
-//! once. [`load`] parses an instance and picks its objective; [`solve`]
-//! runs the rest:
+//! `csat`, `cec`, the `csat-serve` daemon, the paper-table runner
+//! (`csat_bench::runner`) and the fuzz oracles (`csat_fuzz::oracle`) all
+//! answer an instance the same way, so the flow lives here once. [`load`]
+//! parses an instance and picks its objective; [`solve`] runs the rest:
 //!
 //! 1. **prep** — the [`csat_prep`] pipeline at [`Request::prep`]; an
 //!    interrupt during prep ends the run with that reason;
@@ -16,13 +16,18 @@
 //!    unsatisfiable objective never has one, so UNSAT runs go on as
 //!    below);
 //! 4. **explicit learning** — the paper's learn-from-conflict pass over
-//!    the correlations (sequential circuit engine only);
+//!    the correlations (sequential circuit engine only); an interrupt
+//!    (timeout, memory, cancel) during the pass ends the run with that
+//!    reason;
 //! 5. **dispatch** — the circuit or CNF engine, sequentially or on the
 //!    parallel layer (portfolio or cubes);
 //! 6. **lift** — reduced-netlist models back to the caller's inputs;
 //! 7. **check** — every SAT model against the caller's netlist (a bad one
 //!    panics), and with [`Request::check_proof`] the UNSAT proof against
 //!    the netlist the kernel solved.
+//!
+//! The budget's wall-clock limit is one deadline for the whole run: it is
+//! fixed when [`solve`] starts, and each step gets only the time left.
 //!
 //! ```
 //! use csat_netlist::{generators, miter};
@@ -51,6 +56,7 @@ use csat_prep::{PrepLevel, PrepOptions, PrepPipeline, PrepStats};
 use csat_sim::{find_correlations_or_witness, CorrelationResult, SimulationOptions};
 use csat_telemetry::Observer;
 use csat_types::{Budget, SearchStats, Verdict};
+use std::time::Instant;
 
 /// An instance's input format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,33 +134,32 @@ fn with_first_output(aig: Aig) -> Result<(Aig, Lit), String> {
         .ok_or_else(|| "circuit has no outputs".to_string())
 }
 
-/// Which search engine answers the instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which search engine answers the instance, with its options.
+#[derive(Clone, Copy, Debug)]
 pub enum Engine {
-    /// The circuit solver with J-node decisions (the paper's C-SAT-Jnode).
-    Circuit,
-    /// The circuit solver with plain VSIDS over all signals.
-    CircuitPlain,
+    /// The circuit solver. Its options pick J-node decisions (the paper's
+    /// C-SAT-Jnode) or plain VSIDS over all signals (C-SAT), and implicit
+    /// (correlation-guided) learning.
+    Circuit(SolverOptions),
     /// The CNF baseline on the Tseitin encoding.
-    Cnf,
+    Cnf(csat_cnf::SolverOptions),
 }
 
 /// One solve: the caller's netlist and objective, plus the settings the
-/// front-ends expose as flags or job fields.
+/// front-ends expose as flags or job fields and the paper tables vary.
 #[derive(Clone, Debug)]
 pub struct Request<'a> {
     /// The caller's netlist; SAT models are checked against it.
     pub aig: &'a Aig,
     /// Find an assignment making this literal 1.
     pub objective: Lit,
-    /// Search engine.
+    /// Search engine and its options.
     pub engine: Engine,
     /// Preprocessing level.
     pub prep: PrepLevel,
-    /// Implicit (correlation-guided) learning in the circuit engine.
-    pub implicit: bool,
-    /// The explicit learning pass before a sequential circuit solve.
-    pub explicit: bool,
+    /// The explicit learning pass before a sequential circuit solve, with
+    /// its options; `None` skips it.
+    pub explicit: Option<ExplicitOptions>,
     /// Simulation settings for correlation discovery and prep.
     pub simulation: SimulationOptions,
     /// Log the sequential solve's proof and check UNSAT answers by
@@ -167,16 +172,16 @@ pub struct Request<'a> {
 }
 
 impl<'a> Request<'a> {
-    /// The paper's flow on one thread: circuit engine with J-node
-    /// decisions, implicit and explicit learning, no prep, no proof.
+    /// The paper's flow on one thread: the circuit engine with J-node
+    /// decisions and implicit learning ([`SolverOptions::paper`]), the
+    /// explicit pass at its defaults, no prep, no proof.
     pub fn new(aig: &'a Aig, objective: Lit) -> Request<'a> {
         Request {
             aig,
             objective,
-            engine: Engine::Circuit,
+            engine: Engine::Circuit(SolverOptions::paper()),
             prep: PrepLevel::Off,
-            implicit: true,
-            explicit: true,
+            explicit: Some(ExplicitOptions::default()),
             simulation: SimulationOptions::default(),
             check_proof: false,
             threads: 1,
@@ -210,7 +215,8 @@ pub struct Report {
 }
 
 /// Runs the pipeline on `request` under `budget`, reporting solver
-/// events to `obs`.
+/// events to `obs`. The budget's time limit counts from this call, over
+/// every step together.
 ///
 /// # Panics
 ///
@@ -218,6 +224,7 @@ pub struct Report {
 /// internal error no answer may hide. The daemon's per-job `catch_unwind`
 /// turns it into a `panicked` result.
 pub fn solve<O: Observer + ?Sized>(request: &Request<'_>, budget: &Budget, obs: &mut O) -> Report {
+    let deadline = Deadline::start(budget);
     let mut report = Report {
         verdict: Verdict::Unsat,
         prep: None,
@@ -235,7 +242,7 @@ pub fn solve<O: Observer + ?Sized>(request: &Request<'_>, budget: &Budget, obs: 
             simulation: request.simulation,
             ..PrepOptions::default()
         });
-        pipeline.run_under(request.aig, &[request.objective], budget, obs)
+        pipeline.run_under(request.aig, &[request.objective], &deadline.left(), obs)
     });
     if let Some(result) = &prepped {
         report.prep = Some(result.stats.clone());
@@ -261,10 +268,27 @@ pub fn solve<O: Observer + ?Sized>(request: &Request<'_>, budget: &Budget, obs: 
         } else {
             Verdict::Unsat
         }
-    } else if request.engine == Engine::Cnf {
-        solve_cnf(request, aig, objective, budget, obs, &mut report)
     } else {
-        solve_circuit(request, aig, objective, budget, obs, &mut report)
+        match request.engine {
+            Engine::Cnf(options) => solve_cnf(
+                request,
+                options,
+                aig,
+                objective,
+                &deadline,
+                obs,
+                &mut report,
+            ),
+            Engine::Circuit(options) => solve_circuit(
+                request,
+                options,
+                aig,
+                objective,
+                &deadline,
+                obs,
+                &mut report,
+            ),
+        }
     };
     report.verdict = match verdict {
         Verdict::Sat(model) => {
@@ -283,18 +307,42 @@ pub fn solve<O: Observer + ?Sized>(request: &Request<'_>, budget: &Budget, obs: 
     report
 }
 
+/// The caller's wall-clock limit as one deadline, fixed when [`solve`]
+/// starts. Each step runs under the caller's budget with only the time
+/// left, so prep, the explicit pass and the search share one clock.
+struct Deadline<'b> {
+    budget: &'b Budget,
+    at: Option<Instant>,
+}
+
+impl<'b> Deadline<'b> {
+    fn start(budget: &'b Budget) -> Deadline<'b> {
+        let at = budget.max_time.and_then(|t| Instant::now().checked_add(t));
+        Deadline { budget, at }
+    }
+
+    /// The caller's budget with the time left until the deadline.
+    fn left(&self) -> Budget {
+        let budget = self.budget.clone();
+        match self.at {
+            Some(at) => budget.with_time_limit(Some(at.saturating_duration_since(Instant::now()))),
+            None => budget,
+        }
+    }
+}
+
 /// The CNF baseline on the Tseitin encoding; models come back over CNF
 /// variables and are mapped to circuit inputs.
 fn solve_cnf<O: Observer + ?Sized>(
     request: &Request<'_>,
+    options: csat_cnf::SolverOptions,
     aig: &Aig,
     objective: Lit,
-    budget: &Budget,
+    deadline: &Deadline<'_>,
     obs: &mut O,
     report: &mut Report,
 ) -> Verdict {
     let enc = tseitin::encode_with_objective(aig, objective);
-    let options = csat_cnf::SolverOptions::default();
     let verdict = if request.threads > 1 {
         let outcome = match request.par_mode {
             ParMode::Portfolio => solve_cnf_portfolio(
@@ -302,14 +350,14 @@ fn solve_cnf<O: Observer + ?Sized>(
                 options,
                 request.threads,
                 &PortfolioOptions::default(),
-                budget,
+                &deadline.left(),
             ),
             ParMode::Cubes => solve_cnf_cubes(
                 &enc.cnf,
                 options,
                 request.threads,
                 &CubeOptions::default(),
-                budget,
+                &deadline.left(),
             ),
         };
         parallel_verdict(outcome, report)
@@ -318,7 +366,7 @@ fn solve_cnf<O: Observer + ?Sized>(
         if request.check_proof {
             solver.start_proof();
         }
-        let verdict = solver.solve_observed(budget, obs);
+        let verdict = solver.solve_observed(&deadline.left(), obs);
         report.stats = Some(*solver.stats());
         if request.check_proof && verdict.is_unsat() {
             let proof = solver.take_proof();
@@ -342,15 +390,17 @@ fn solve_cnf<O: Observer + ?Sized>(
 /// model, and no solver is built.
 fn solve_circuit<O: Observer + ?Sized>(
     request: &Request<'_>,
+    options: SolverOptions,
     aig: &Aig,
     objective: Lit,
-    budget: &Budget,
+    deadline: &Deadline<'_>,
     obs: &mut O,
     report: &mut Report,
 ) -> Verdict {
     // Parallel workers take the correlations for implicit learning only;
     // the explicit pass is sequential.
-    let simulate = request.implicit || (request.explicit && request.threads == 1);
+    let explicit = request.explicit.filter(|_| request.threads == 1);
+    let simulate = options.implicit_learning || explicit.is_some();
     let correlations =
         simulate.then(|| find_correlations_or_witness(aig, &request.simulation, objective, obs));
     let witness = correlations.as_ref().and_then(|c| c.witness.clone());
@@ -358,10 +408,6 @@ fn solve_circuit<O: Observer + ?Sized>(
         report.correlations = correlations;
         return Verdict::Sat(model);
     }
-    let options = SolverOptions::builder()
-        .jnode_decisions(request.engine == Engine::Circuit)
-        .implicit_learning(request.implicit)
-        .build();
     if request.threads > 1 {
         let configure = |_: usize, solver: &mut Solver<'_>| {
             if let Some(c) = &correlations {
@@ -375,7 +421,7 @@ fn solve_circuit<O: Observer + ?Sized>(
                 options,
                 request.threads,
                 &PortfolioOptions::default(),
-                budget,
+                &deadline.left(),
                 configure,
             ),
             ParMode::Cubes => solve_aig_cubes(
@@ -384,7 +430,7 @@ fn solve_circuit<O: Observer + ?Sized>(
                 options,
                 request.threads,
                 &CubeOptions::default(),
-                budget,
+                &deadline.left(),
                 configure,
             ),
         };
@@ -397,18 +443,22 @@ fn solve_circuit<O: Observer + ?Sized>(
     }
     if let Some(correlations) = correlations {
         solver.set_correlations(&correlations);
-        if request.explicit {
-            report.explicit = Some(explicit::run_budgeted_observed(
+        report.explicit = explicit.map(|explicit| {
+            explicit::run_budgeted_observed(
                 &mut solver,
                 &correlations,
-                &ExplicitOptions::default(),
-                budget,
+                &explicit,
+                &deadline.left(),
                 obs,
-            ));
-        }
+            )
+        });
         report.correlations = Some(correlations);
+        // A limit that stopped the pass leaves nothing for the search.
+        if let Some(reason) = report.explicit.and_then(|x| x.interrupted) {
+            return Verdict::Unknown(reason);
+        }
     }
-    let verdict = solver.solve_observed(objective, budget, obs);
+    let verdict = solver.solve_observed(objective, &deadline.left(), obs);
     report.stats = Some(*solver.stats());
     if request.check_proof && verdict.is_unsat() {
         let proof = solver.take_proof();
@@ -482,7 +532,16 @@ mod tests {
             (&wide, all_ones, false),
         ] {
             for learning in [true, false] {
-                for engine in [Engine::Circuit, Engine::CircuitPlain, Engine::Cnf] {
+                let circuit = |jnode| {
+                    Engine::Circuit(
+                        SolverOptions::builder()
+                            .jnode_decisions(jnode)
+                            .implicit_learning(learning)
+                            .build(),
+                    )
+                };
+                let cnf = Engine::Cnf(Default::default());
+                for engine in [circuit(true), circuit(false), cnf] {
                     for prep in [PrepLevel::Off, PrepLevel::Light, PrepLevel::Full] {
                         for threads in [1, 2] {
                             let case = format!(
@@ -493,8 +552,7 @@ mod tests {
                                 engine,
                                 prep,
                                 threads,
-                                implicit: learning,
-                                explicit: learning,
+                                explicit: learning.then(ExplicitOptions::default),
                                 ..Request::new(aig, objective)
                             });
                             // `solve` itself asserts the model on the
@@ -507,7 +565,7 @@ mod tests {
                                 .correlations
                                 .as_ref()
                                 .is_some_and(|c| c.witness.is_some());
-                            let simulated = learning && engine != Engine::Cnf;
+                            let simulated = learning && matches!(engine, Engine::Circuit(_));
                             assert_eq!(witnessed, simulated && simulation_hits, "{case}");
                             // Otherwise the engine searched: on the parallel
                             // layer with threads, sequentially without.
@@ -719,7 +777,15 @@ mod tests {
             &generators::kogge_stone_adder(4),
             Default::default(),
         );
-        for engine in [Engine::Circuit, Engine::CircuitPlain, Engine::Cnf] {
+        let plain = SolverOptions {
+            jnode_decisions: false,
+            ..SolverOptions::paper()
+        };
+        for engine in [
+            Engine::Circuit(SolverOptions::paper()),
+            Engine::Circuit(plain),
+            Engine::Cnf(Default::default()),
+        ] {
             let report = run(&Request {
                 engine,
                 check_proof: true,
@@ -759,8 +825,8 @@ mod tests {
         assert!(full.correlations.is_some() && full.explicit.is_some());
         assert!(full.prep.is_none() && full.proof.is_none());
         let plain = run(&Request {
-            implicit: false,
-            explicit: false,
+            engine: Engine::Circuit(SolverOptions::default()),
+            explicit: None,
             ..Request::new(&m.aig, m.objective)
         });
         assert!(plain.correlations.is_none() && plain.explicit.is_none());
@@ -789,5 +855,76 @@ mod tests {
         );
         assert!(report.stats.is_none() && report.correlations.is_none());
         assert_eq!(recorder.conflicts, 0);
+    }
+
+    /// Sleeps at the first simulation round.
+    struct SlowFirstRound {
+        nap: std::time::Duration,
+        slept: bool,
+    }
+
+    impl Observer for SlowFirstRound {
+        fn record(&mut self, event: csat_telemetry::SolverEvent) {
+            if let csat_telemetry::SolverEvent::SimRound { .. } = event {
+                if !self.slept {
+                    self.slept = true;
+                    std::thread::sleep(self.nap);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_deadline_covers_every_step() {
+        // Simulation outlasts the whole limit, so the explicit pass gets
+        // no time at all and the run ends before any search.
+        let m = miter::build_fresh(
+            &generators::carry_select_adder(4, 2),
+            &generators::kogge_stone_adder(4),
+            Default::default(),
+        );
+        let limit = std::time::Duration::from_millis(50);
+        let mut slow = SlowFirstRound {
+            nap: 2 * limit,
+            slept: false,
+        };
+        let report = solve(
+            &Request::new(&m.aig, m.objective),
+            &Budget::time(limit),
+            &mut slow,
+        );
+        assert_eq!(report.verdict, Verdict::Unknown(Interrupt::Timeout));
+        assert_eq!(report.explicit.map(|x| x.subproblems), Some(0));
+        assert!(report.stats.is_none());
+    }
+
+    /// Cancels the run when the first explicit sub-problem starts.
+    struct CancelAtFirstSubproblem(CancelToken);
+
+    impl Observer for CancelAtFirstSubproblem {
+        fn record(&mut self, event: csat_telemetry::SolverEvent) {
+            if let csat_telemetry::SolverEvent::SubproblemStart { .. } = event {
+                self.0.cancel();
+            }
+        }
+    }
+
+    #[test]
+    fn an_explicit_pass_interrupt_ends_the_run_with_its_reason() {
+        let m = miter::build_fresh(
+            &generators::carry_select_adder(4, 2),
+            &generators::kogge_stone_adder(4),
+            Default::default(),
+        );
+        let token = CancelToken::new();
+        let report = solve(
+            &Request::new(&m.aig, m.objective),
+            &Budget::UNLIMITED.with_cancel(token.clone()),
+            &mut CancelAtFirstSubproblem(token),
+        );
+        assert_eq!(report.verdict, Verdict::Unknown(Interrupt::Cancelled));
+        let pass = report.explicit.expect("the pass started");
+        assert_eq!(pass.interrupted, Some(Interrupt::Cancelled));
+        assert!(report.stats.is_none());
     }
 }

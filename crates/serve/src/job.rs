@@ -24,8 +24,9 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use csat_core::SolverOptions;
 use csat_netlist::{Aig, Lit};
-use csat_pipeline::{load, solve, Format, Request};
+use csat_pipeline::{load, solve, Engine, Format, Request};
 use csat_telemetry::{MetricsRecorder, Observer, SolverEvent};
 use csat_types::{Budget, CancelToken, Interrupt, Verdict};
 
@@ -275,9 +276,9 @@ pub fn solve_once(
     obs: &mut JobObserver,
 ) -> Verdict {
     let request = Request {
+        engine: Engine::Circuit(SolverOptions::default()),
         prep: req.prep,
-        implicit: false,
-        explicit: false,
+        explicit: None,
         threads: req.threads,
         par_mode: req.mode,
         ..Request::new(&instance.aig, instance.objective)

@@ -12,9 +12,10 @@
 
 use std::time::Instant;
 
-use csat::core::{explicit, ExplicitOptions, Solver, SolverOptions};
+use csat::core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions};
 use csat::netlist::{generators, miter, tseitin};
 use csat::sim::{find_correlations, SimulationOptions};
+use csat::telemetry::NoOpObserver;
 
 fn main() {
     let left = generators::ripple_carry_adder(16);
@@ -49,7 +50,13 @@ fn main() {
     );
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
-    let report = explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+    let report = explicit::run_budgeted_observed(
+        &mut solver,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     println!(
         "explicit learning: {} sub-problems ({} refuted, {} aborted)",
         report.subproblems, report.refuted, report.aborted

@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 run_fmt() { cargo fmt --all -- --check; }
-run_clippy() { cargo clippy --workspace --all-features -- -D warnings; }
+run_clippy() { cargo clippy --workspace --all-features --all-targets -- -D warnings; }
 run_build() { cargo build --release; }
 run_test() { cargo test --workspace -q; }
 run_doc() { cargo doc --no-deps --workspace; }
@@ -43,6 +43,17 @@ run_kernel_parity() {
     local stats
     stats=$(cargo run --release --example paper_preset_stats)
     diff -u tests/data/paper_preset_stats.txt - <<<"$stats"
+    # And the paper tables, which run through the shipped pipeline: every
+    # quick table and the ablations must reproduce the checked-in rows
+    # (verdicts, sub-problem, decision and conflict counts) once the time
+    # fields and the metrics snapshot are stripped.
+    local dir=target/tables-quick t
+    mkdir -p "$dir"
+    for t in table1 table2 table3 table4 table5 table6 table7 table8 table9 table10 ablations; do
+        cargo run --release -q -p csat-bench --bin "$t" -- --quick --json "$dir/$t.jsonl" >/dev/null
+        cat "$dir/$t.jsonl"
+    done | sed -E 's/"seconds": [^,]*, //; s/"sim_seconds": [^,]*, //; s/, "metrics": .*\}$/}/' |
+        diff -u tests/data/tables_quick.jsonl -
 }
 run_incremental() {
     # Incremental-session differential: 300 seed-0 random trajectories of

@@ -61,8 +61,9 @@
 use std::process::ExitCode;
 
 use csat::cli;
+use csat::core::SolverOptions;
 use csat::netlist::{aiger, bench, miter, Aig};
-use csat::pipeline::{Format, Request};
+use csat::pipeline::{Engine, Format, Request};
 use csat::types::Verdict;
 
 const USAGE: &str =
@@ -117,10 +118,14 @@ fn main() -> ExitCode {
         m.aig.and_count(),
         m.aig.inputs().len()
     );
-    let request = Request {
-        implicit: learning,
-        explicit: learning,
-        ..options.request(&m.aig, m.objective)
+    let request = if learning {
+        options.request(&m.aig, m.objective)
+    } else {
+        Request {
+            engine: Engine::Circuit(SolverOptions::default()),
+            explicit: None,
+            ..options.request(&m.aig, m.objective)
+        }
     };
     match cli::solve(&options, &request) {
         Ok(Verdict::Unsat) => {

@@ -58,6 +58,7 @@
 use std::process::ExitCode;
 
 use csat::cli;
+use csat::core::{ExplicitOptions, SolverOptions};
 use csat::pipeline::{load, Engine, Request};
 use csat::types::Verdict;
 
@@ -73,22 +74,20 @@ const USAGE: &str = "usage: csat [--output NAME] [--negate] [--engine circuit|ci
 fn main() -> ExitCode {
     let mut output = None;
     let mut negate = false;
-    let mut engine = Engine::Circuit;
-    let mut implicit = true;
+    let mut cnf = false;
+    let mut circuit = SolverOptions::paper();
     let mut explicit = true;
     let (options, files) = cli::parse_args(USAGE, |flag, args| {
         match flag {
             "--output" => output = Some(args.next().unwrap_or_else(|| cli::usage(USAGE))),
             "--negate" => negate = true,
-            "--engine" => {
-                engine = match args.next().as_deref() {
-                    Some("circuit") => Engine::Circuit,
-                    Some("circuit-plain") => Engine::CircuitPlain,
-                    Some("cnf") => Engine::Cnf,
-                    _ => cli::usage(USAGE),
-                }
-            }
-            "--no-implicit" => implicit = false,
+            "--engine" => match args.next().as_deref() {
+                Some("circuit") => (cnf, circuit.jnode_decisions) = (false, true),
+                Some("circuit-plain") => (cnf, circuit.jnode_decisions) = (false, false),
+                Some("cnf") => cnf = true,
+                _ => cli::usage(USAGE),
+            },
+            "--no-implicit" => circuit.implicit_learning = false,
             "--no-explicit" => explicit = false,
             _ => return false,
         }
@@ -111,10 +110,14 @@ fn main() -> ExitCode {
         aig.inputs().len(),
         aig.and_count()
     );
+    let engine = if cnf {
+        Engine::Cnf(Default::default())
+    } else {
+        Engine::Circuit(circuit)
+    };
     let request = Request {
         engine,
-        implicit,
-        explicit,
+        explicit: explicit.then(ExplicitOptions::default),
         ..options.request(&aig, objective)
     };
     match cli::solve(&options, &request) {

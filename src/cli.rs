@@ -66,8 +66,9 @@ impl Default for Options {
 }
 
 impl Options {
-    /// A pipeline request carrying these options; the caller sets the
-    /// engine and learning switches.
+    /// A pipeline request carrying these options over the paper's flow
+    /// ([`Request::new`]); the caller sets the engine and the explicit
+    /// pass.
     pub fn request<'a>(&self, aig: &'a Aig, objective: Lit) -> Request<'a> {
         Request {
             prep: self.prep,

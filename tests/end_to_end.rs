@@ -1,7 +1,7 @@
 //! End-to-end integration tests across the whole workspace: netlist
 //! construction → simulation → both solvers → model verification.
 
-use csat::core::{explicit, ExplicitOptions, Solver, SolverOptions, Verdict};
+use csat::core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions, Verdict};
 use csat::netlist::{bench, generators, miter, tseitin, two_level, Aig};
 use csat::sim::{find_correlations, SimulationOptions};
 use csat_telemetry::NoOpObserver;
@@ -23,7 +23,13 @@ fn full_pipeline_on_adder_miter() {
     let correlations = find_correlations(&m.aig, &SimulationOptions::default());
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
-    let report = explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+    let report = explicit::run_budgeted_observed(
+        &mut solver,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     assert!(report.subproblems > 0);
     assert!(solver.solve(m.objective).is_unsat());
 }
@@ -102,7 +108,13 @@ fn multiplier_miter_solved_by_explicit_learning() {
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
     let start = std::time::Instant::now();
-    explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+    explicit::run_budgeted_observed(
+        &mut solver,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     assert!(solver.solve(m.objective).is_unsat());
     assert!(
         start.elapsed() < std::time::Duration::from_secs(10),
@@ -120,7 +132,13 @@ fn multiplier_architectures_are_equivalent() {
     let correlations = find_correlations(&m.aig, &SimulationOptions::default());
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
-    explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+    explicit::run_budgeted_observed(
+        &mut solver,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     assert!(solver.solve(m.objective).is_unsat());
 }
 

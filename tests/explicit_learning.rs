@@ -3,10 +3,12 @@
 //! fraction, on both SAT and UNSAT instances.
 
 use csat::core::{
-    explicit, CorrelationMode, ExplicitOptions, Solver, SolverOptions, SubproblemOrdering, Verdict,
+    explicit, Budget, CorrelationMode, ExplicitOptions, Solver, SolverOptions, SubproblemOrdering,
+    Verdict,
 };
 use csat::netlist::{generators, miter, optimize};
 use csat::sim::{find_correlations, SimulationOptions};
+use csat::telemetry::NoOpObserver;
 
 fn all_option_grid() -> Vec<ExplicitOptions> {
     let mut grid = Vec::new();
@@ -41,7 +43,13 @@ fn unsat_miter_stays_unsat_under_all_option_combinations() {
     for options in all_option_grid() {
         let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
         solver.set_correlations(&correlations);
-        explicit::run(&mut solver, &correlations, &options);
+        explicit::run_budgeted_observed(
+            &mut solver,
+            &correlations,
+            &options,
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
+        );
         assert!(
             solver.solve(m.objective).is_unsat(),
             "unsound with {options:?}"
@@ -64,7 +72,13 @@ fn sat_instance_stays_sat_under_all_option_combinations() {
     for options in all_option_grid() {
         let mut solver = Solver::new(&aig, SolverOptions::with_implicit_learning());
         solver.set_correlations(&correlations);
-        explicit::run(&mut solver, &correlations, &options);
+        explicit::run_budgeted_observed(
+            &mut solver,
+            &correlations,
+            &options,
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
+        );
         match solver.solve(objective) {
             Verdict::Sat(model) => {
                 let values = aig.evaluate(&model);
@@ -91,7 +105,13 @@ fn opt_style_miter_benefits_from_explicit_learning() {
     // conflicts than the plain run's total.
     let mut learned = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     learned.set_correlations(&correlations);
-    explicit::run(&mut learned, &correlations, &ExplicitOptions::default());
+    explicit::run_budgeted_observed(
+        &mut learned,
+        &correlations,
+        &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
+        &mut NoOpObserver,
+    );
     let before = learned.stats().conflicts;
     assert!(learned.solve(m.objective).is_unsat());
     let final_conflicts = learned.stats().conflicts - before;
@@ -110,13 +130,15 @@ fn learned_budget_is_respected_per_subproblem() {
     // budget (clamped to 1) many abort — either way the final answer holds.
     for budget in [1, 10, 1000] {
         let mut solver = Solver::new(&m.aig, SolverOptions::default());
-        let report = explicit::run(
+        let report = explicit::run_budgeted_observed(
             &mut solver,
             &correlations,
             &ExplicitOptions {
                 learned_budget: budget,
                 ..Default::default()
             },
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
         );
         assert_eq!(
             report.subproblems,
@@ -136,13 +158,15 @@ fn topological_ordering_never_slower_in_conflicts_on_multiplier() {
     let conflicts_for = |ordering: SubproblemOrdering| {
         let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
         solver.set_correlations(&correlations);
-        explicit::run(
+        explicit::run_budgeted_observed(
             &mut solver,
             &correlations,
             &ExplicitOptions {
                 ordering,
                 ..Default::default()
             },
+            &Budget::UNLIMITED,
+            &mut NoOpObserver,
         );
         assert!(solver.solve(m.objective).is_unsat());
         solver.stats().conflicts

@@ -12,7 +12,7 @@ use std::time::Duration;
 use csat::core::{explicit, ExplicitOptions, Solver, SolverOptions};
 use csat::netlist::{generators, miter};
 use csat::sim::{find_correlations, SimulationOptions};
-use csat::telemetry::MetricsRecorder;
+use csat::telemetry::{MetricsRecorder, NoOpObserver};
 use csat::types::{Budget, FaultPlan, Interrupt, Verdict};
 
 fn unsat_miter(bits: usize) -> csat::netlist::miter::Miter {
@@ -94,7 +94,7 @@ fn injected_memory_fault_fires_once_and_aborts() {
     let budget = Budget::memory(1 << 30).with_fault(plan.clone());
     let mut solver = Solver::new(&m.aig, SolverOptions::default());
     assert!(!plan.fired());
-    let verdict = solver.solve_with_budget(m.objective, &budget);
+    let verdict = solver.solve_observed(m.objective, &budget, &mut NoOpObserver);
     assert_eq!(verdict, Verdict::Unknown(Interrupt::Memory));
     assert!(plan.fired());
 }

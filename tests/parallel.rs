@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use csat::core::{check_model, SolverOptions};
+use csat::core::{check_model, Solver, SolverOptions};
 use csat::netlist::{generators, miter, tseitin, Aig};
 use csat::par::{
     solve_aig_cubes, solve_aig_portfolio, solve_cnf_cubes, solve_cnf_portfolio, CubeOptions,
@@ -116,6 +116,43 @@ fn circuit_cubes_agree_with_sequential() {
             other => panic!("cubes disagree with sequential: {other:?}"),
         }
     }
+}
+
+/// Split-and-conquer itself, differentially: a tiny probe leaves most fuzz
+/// instances to the cubes (no fuzz column reaches them: its probe decides
+/// every instance), and every verdict must match the sequential solver's.
+#[test]
+fn circuit_cubes_match_sequential_on_fuzz_instances() {
+    let mut split = 0;
+    for seed in 0..60 {
+        let instance = csat::fuzz::generate(seed);
+        let (aig, objective) = (&instance.aig, instance.objective);
+        let sequential = Solver::new(aig, SolverOptions::default()).solve(objective);
+        let outcome = solve_aig_cubes(
+            aig,
+            objective,
+            SolverOptions::default(),
+            2,
+            &CubeOptions {
+                cube_vars: 3,
+                probe_conflicts: 8,
+            },
+            &Budget::UNLIMITED,
+            |_, _| {},
+        );
+        assert_eq!(
+            outcome.verdict.is_sat(),
+            sequential.is_sat(),
+            "seed {seed}: cubes {:?} vs sequential {sequential:?}",
+            outcome.verdict
+        );
+        assert!(!outcome.verdict.is_unknown(), "seed {seed}");
+        if let Verdict::Sat(model) = &outcome.verdict {
+            assert!(check_model(aig, model, objective), "seed {seed}");
+        }
+        split += usize::from(outcome.metrics.cubes_solved > 0);
+    }
+    assert!(split > 0, "no instance reached the cubes");
 }
 
 #[test]

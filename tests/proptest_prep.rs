@@ -7,6 +7,7 @@ use csat::core::{check_model, Solver, SolverOptions, Verdict};
 use csat::fuzz::generate;
 use csat::netlist::{Aig, Lit};
 use csat::prep::{PrepLevel, PrepOptions, PrepPipeline, PrepResult};
+use csat::telemetry::NoOpObserver;
 use csat::types::Budget;
 use proptest::prelude::*;
 
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 /// runs out (the property then abstains rather than comparing garbage).
 fn reference(aig: &Aig, objective: Lit) -> Option<bool> {
     let mut solver = Solver::new(aig, SolverOptions::default());
-    match solver.solve_with_budget(objective, &Budget::conflicts(100_000)) {
+    match solver.solve_observed(objective, &Budget::conflicts(100_000), &mut NoOpObserver) {
         Verdict::Sat(_) => Some(true),
         Verdict::Unsat => Some(false),
         Verdict::Unknown(_) => None,
@@ -32,7 +33,7 @@ fn solve_reduced(result: &PrepResult, mapped: Lit) -> Option<Verdict> {
         });
     }
     let mut solver = Solver::new(&result.reduced, SolverOptions::default());
-    match solver.solve_with_budget(mapped, &Budget::conflicts(200_000)) {
+    match solver.solve_observed(mapped, &Budget::conflicts(200_000), &mut NoOpObserver) {
         Verdict::Unknown(_) => None,
         done => Some(done),
     }

@@ -15,7 +15,7 @@ use csat::core::{explicit, ExplicitOptions, Solver, SolverOptions};
 use csat::netlist::{generators, miter};
 use csat::par::{run_portfolio, JobVerdict, PortfolioOptions, PortfolioWorker, WorkerOutcome};
 use csat::sim::{find_correlations, SimulationOptions};
-use csat::telemetry::{MetricsRecorder, Observer};
+use csat::telemetry::{MetricsRecorder, NoOpObserver, Observer};
 use csat::types::{Budget, BudgetMeter, CancelToken, Interrupt, SearchStats, Verdict};
 
 /// A self-miter hard enough that no solver configuration finishes it in
@@ -37,7 +37,11 @@ fn cancellation_from_another_thread_lands_promptly() {
     };
     let mut solver = Solver::new(&m.aig, SolverOptions::default());
     let start = Instant::now();
-    let verdict = solver.solve_with_budget(m.objective, &Budget::UNLIMITED.with_cancel(token));
+    let verdict = solver.solve_observed(
+        m.objective,
+        &Budget::UNLIMITED.with_cancel(token),
+        &mut NoOpObserver,
+    );
     canceller.join().expect("canceller thread");
     assert_eq!(verdict, Verdict::Unknown(Interrupt::Cancelled));
     // Checkpoints run at every conflict and decision, so the latency from
@@ -63,7 +67,7 @@ fn cnf_cancellation_from_another_thread_lands_promptly() {
         })
     };
     let mut solver = csat::cnf::Solver::new(&enc.cnf, csat::cnf::SolverOptions::default());
-    let verdict = solver.solve_with_budget(&Budget::UNLIMITED.with_cancel(token));
+    let verdict = solver.solve_observed(&Budget::UNLIMITED.with_cancel(token), &mut NoOpObserver);
     canceller.join().expect("canceller thread");
     assert_eq!(verdict, Verdict::Unknown(Interrupt::Cancelled));
 }
@@ -97,11 +101,12 @@ fn explicit_pass_honors_a_cancelled_outer_budget() {
     solver.set_correlations(&correlations);
     let token = CancelToken::new();
     token.cancel();
-    let report = explicit::run_budgeted(
+    let report = explicit::run_budgeted_observed(
         &mut solver,
         &correlations,
         &ExplicitOptions::default(),
         &Budget::UNLIMITED.with_cancel(token),
+        &mut NoOpObserver,
     );
     assert_eq!(report.interrupted, Some(Interrupt::Cancelled));
     assert!(report.subproblems <= 1, "report: {report:?}");
@@ -115,11 +120,12 @@ fn explicit_pass_honors_an_expired_outer_clock() {
     let correlations = find_correlations(&m.aig, &SimulationOptions::default());
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
-    let report = explicit::run_budgeted(
+    let report = explicit::run_budgeted_observed(
         &mut solver,
         &correlations,
         &ExplicitOptions::default(),
         &Budget::time(Duration::ZERO),
+        &mut NoOpObserver,
     );
     assert_eq!(report.interrupted, Some(Interrupt::Timeout));
 }

@@ -33,10 +33,11 @@ fn recorder_reconciles_with_circuit_solver_stats() {
 
     let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
     solver.set_correlations(&correlations);
-    let report = explicit::run_observed(
+    let report = explicit::run_budgeted_observed(
         &mut solver,
         &correlations,
         &ExplicitOptions::default(),
+        &Budget::UNLIMITED,
         &mut metrics,
     );
     assert_eq!(metrics.subproblems, report.subproblems as u64);
